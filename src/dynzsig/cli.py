@@ -370,16 +370,6 @@ class FactorCache:
             os.remove(lock)
 
 
-def cache_lookup_store(
-    cache: FactorCache, composite: int, result: Optional[Factorization] = None
-) -> Optional[Factorization]:
-    """Cache surface: with result=None, look up; otherwise store (upgrading a
-    partial entry at most once) and return the winning entry."""
-    if result is None:
-        return cache.get(composite)
-    return cache.store(composite, result)
-
-
 # ---------------------------------------------------------------------------
 # Report rendering
 # ---------------------------------------------------------------------------
@@ -391,12 +381,12 @@ def _real(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _big(n: int) -> str:
-    return str(n)
+def _ratio(num: int, den: int) -> str:
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _frac(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return _ratio(x.numerator, x.denominator)
 
 
 def _estimate_dict(est: HeightEstimate) -> dict:
@@ -454,19 +444,17 @@ def _render_csv(rows: list[tuple]) -> str:
 
 
 def _orbit_rows(seq: OrbitSequence) -> list[tuple]:
-    rows = []
-    for rec in seq.records:
-        rows.append(
-            (
-                rec.n,
-                decimal_digits(max(abs(rec.value.numerator), rec.value.denominator)),
-                decimal_digits(rec.ideal.A),
-                int(rec.primitive),
-                decimal_digits(rec.split.primitive_part),
-                decimal_digits(rec.split.nonprimitive_part),
-            )
+    return [
+        (
+            rec.n,
+            decimal_digits(max(rec.ideal.A, rec.ideal.B)),
+            decimal_digits(rec.ideal.A),
+            int(rec.primitive),
+            decimal_digits(rec.split.primitive_part),
+            decimal_digits(rec.split.nonprimitive_part),
         )
-    return rows
+        for rec in seq.records
+    ]
 
 
 def _orbit_result(seq: OrbitSequence, include_values: bool = True) -> dict:
@@ -474,14 +462,14 @@ def _orbit_result(seq: OrbitSequence, include_values: bool = True) -> dict:
     for rec in seq.records:
         entry = {
             "n": rec.n,
-            "numerator_ideal": _big(rec.ideal.A),
-            "denominator_ideal": _big(rec.ideal.B),
-            "primitive_part": _big(rec.split.primitive_part),
-            "nonprimitive_part": _big(rec.split.nonprimitive_part),
+            "numerator_ideal": str(rec.ideal.A),
+            "denominator_ideal": str(rec.ideal.B),
+            "primitive_part": str(rec.split.primitive_part),
+            "nonprimitive_part": str(rec.split.nonprimitive_part),
             "has_primitive_divisor": rec.primitive,
         }
         if include_values:
-            entry["value"] = _frac(rec.value)
+            entry["value"] = _ratio(rec.sign * rec.ideal.A, rec.ideal.B)
         records.append(entry)
     return {
         "poly": str(seq.phi),
@@ -549,15 +537,15 @@ def _cmd_rigid_check(args: dict, config: RunConfig):
     cache = _open_cache(config)
     report = rigid_check(seq.terms(), places, config.factor_budget(), cache)
     result = {
-        "terms": [_big(t) for t in seq.terms()],
+        "terms": [str(t) for t in seq.terms()],
         "places": [str(p) for p in places],
         "verified": report.verified,
         "checked_pairs": report.checked_pairs,
-        "untested_cofactors": [_big(c) for c in report.untested_primes],
+        "untested_cofactors": [str(c) for c in report.untested_primes],
         "violations": [
             {
                 "condition": v.condition,
-                "prime": _big(v.prime),
+                "prime": str(v.prime),
                 "indices": list(v.indices),
                 "valuations": list(v.valuations),
             }
@@ -720,7 +708,7 @@ def _cmd_family_check(args: dict, config: RunConfig):
             "passed": growth.passed,
             "square_growth_ok": growth.square_growth_ok,
             "exponent_floor_ok": growth.exponent_floor_ok,
-            "first_term": _big(growth.first_term),
+            "first_term": str(growth.first_term),
             "orbit_digits": growth.orbit_digits,
             "exponent_floors": [_frac(f) for f in growth.exponent_floors],
         }
@@ -737,18 +725,18 @@ def _cmd_family_check(args: dict, config: RunConfig):
         result["valuation_stability"] = {
             "ok": stability.ok,
             "terms_checked": stability.terms_checked,
-            "ranks": {_big(p): r for p, r in sorted(stability.ranks.items())},
+            "ranks": {str(p): r for p, r in sorted(stability.ranks.items())},
             "failures": [
                 {
                     "kind": f.kind,
-                    "prime": _big(f.prime),
+                    "prime": str(f.prime),
                     "index": f.index,
-                    "expected": _big(f.expected),
-                    "got": _big(f.got),
+                    "expected": str(f.expected),
+                    "got": str(f.got),
                 }
                 for f in stability.failures
             ],
-            "untested_cofactors": [_big(c) for c in stability.untested_cofactors],
+            "untested_cofactors": [str(c) for c in stability.untested_cofactors],
         }
         result["place_set"] = [str(p) for p in places]
     return EXIT_OK, result, None, warnings
@@ -777,11 +765,20 @@ def run_subcommand(name: str, args: dict, config: RunConfig):
     Exit codes: 0 success, 1 hypothesis violation, 2 parse/config error,
     3 digit-budget exhaustion (with partial results in the report).
     """
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(max(10_000, config.digit_budget * 4))
     if name not in _COMMANDS:
         return EXIT_USAGE, "", f"unknown subcommand {name!r}"
+    # orbit values outgrow the default int->str guard: raise it for this call only
+    saved = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if saved is not None:
+        sys.set_int_max_str_digits(max(10_000, config.digit_budget * 4))
+    try:
+        return _run(name, args, config)
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
+
+def _run(name: str, args: dict, config: RunConfig):
     code = EXIT_OK
     rows = None
     warnings: list[str] = []

@@ -5,6 +5,11 @@ All heights are natural-log based.  Logs of big integers go through one
 uniform primitive, log_int, which uses the top 53-bit window of the integer
 plus a bit-length shift and is good to better than 12 significant digits for
 every size this package produces.
+
+The canonical height is h(phi^N(P)) / d^N on the exact orbit, iterated by the
+one orbit engine, ratfield.IntegerModel, on coprime pairs (a, b): since
+F(a, b) = f_d a^d (mod b) for phi = F(X, Y) / (L Y^d), gcds with the small
+k = L |f_d| alone reduce each step, and h(a/b) = log max(|a|, b).
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from typing import Iterable, Optional, Union
 
 from .divisibility import is_probable_prime, valuation
 from .ratfield import Coefficient, Polynomial, ProjPoint, RationalMap, as_rational
+from .ratfield import DigitBudgetExceeded, IntegerModel
 
 _LN2 = math.log(2)
 
@@ -249,17 +255,15 @@ def canonical_height(
         target += 1
 
     x = as_rational(P)
+    a, b = x.numerator, x.denominator
     steps = 0
     truncated = False
-    bit_budget = int(digit_budget / 0.30102999566398120) + 1
-    while steps < target:
-        nxt = phi(x)
-        if max(nxt.numerator.bit_length(), nxt.denominator.bit_length()) > bit_budget:
-            truncated = True
-            break
-        x = nxt
-        steps += 1
+    try:
+        for a, b in IntegerModel(phi).orbit(x, target, digit_budget):
+            steps += 1
+    except DigitBudgetExceeded:
+        truncated = True
 
-    value = rational_height(x) / d**steps
+    value = log_int(max(abs(a), b)) / d**steps
     error = B / d**steps + _FLOAT_SLACK * (1.0 + abs(value))
     return HeightEstimate(value=value, error_bound=error, truncated=truncated, iterations=steps)

@@ -1,18 +1,19 @@
-"""Exact arithmetic over Q: dense polynomials, rational maps, projective points.
+"""Exact arithmetic over Q: dense polynomials, rational maps, projective
+points, and IntegerModel, the one engine every exact orbit runs on.
 
 Integers are plain Python ints (arbitrary precision, canonical zero) and
 rationals are fractions.Fraction (always reduced, positive denominator), so
-the two base number types need no wrapper classes here.
+the two base number types need no wrapper classes here.  Orbits run on
+coprime integer pairs instead, where Fraction would run a big gcd per step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Union
+from math import gcd, lcm
+from typing import Iterable, Iterator, Optional, Union
 
-BigInteger = int
-Rational = Fraction
+_LOG10_2 = 0.30102999566398120
 
 Coefficient = Union[int, str, Fraction]
 
@@ -227,16 +228,6 @@ def _coerce(x) -> "Polynomial":
     return NotImplemented
 
 
-def poly_eval(f: Polynomial, x: Coefficient) -> Fraction:
-    """Exact value f(x) in lowest terms."""
-    return f(x)
-
-
-def derivative(f: Polynomial) -> Polynomial:
-    """Formal derivative with exact coefficients."""
-    return f.derivative()
-
-
 def conjugate(phi: Polynomial, alpha: Coefficient) -> Polynomial:
     """Shift coordinates so alpha moves to the origin: phi(z + alpha) - alpha.
 
@@ -347,13 +338,8 @@ class RationalMap:
 
 def _primitive_scale(coeffs: tuple[Fraction, ...]) -> Fraction:
     """Rational t > 0 making t*coeffs a coprime integer vector."""
-    den_lcm = 1
-    for c in coeffs:
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    nums = [abs(int(c * den_lcm)) for c in coeffs if c != 0]
-    g = 0
-    for n in nums:
-        g = gcd(g, n)
+    den_lcm = lcm(*(c.denominator for c in coeffs))
+    g = gcd(*(int(c * den_lcm) for c in coeffs))
     return Fraction(den_lcm, g if g else 1)
 
 
@@ -419,3 +405,83 @@ class ProjPoint:
 
     def __str__(self) -> str:
         return f"[{self.x} : {self.y}]"
+
+
+class PreperiodicPoint(Exception):
+    """Raised when an orbit construction finds a finite forward orbit."""
+
+    def __init__(self, message: str, index: int, partial=None):
+        super().__init__(message)
+        self.index = index
+        self.partial = partial
+
+
+class DigitBudgetExceeded(Exception):
+    """Raised when an orbit value outgrows the configured digit budget; the
+    partial result built so far rides along."""
+
+    def __init__(self, message: str, partial=None):
+        super().__init__(message)
+        self.partial = partial
+
+
+class IntegerModel:
+    """phi of degree d >= 1 over Q as F(X, Y) / (L * Y^d): L is the lcm of the
+    coefficient denominators and F = sum f_i X^i Y^(d-i), f_i = L * c_i.
+    Calling it on a coprime pair (a, b), b > 0, returns phi(a/b) as one.
+
+    Reduction lemma: F(a, b) = f_d * a^d (mod b), so a prime dividing both
+    F(a, b) and L * b^d divides L, or divides b and hence f_d (it cannot
+    divide a).  Every common factor lives on the primes of the small integer
+    k = L * |f_d|, and repeating t = gcd(gcd(den, k), num) until t = 1
+    reduces the pair without one big-by-big gcd.
+    """
+
+    __slots__ = ("lead", "lower", "scale", "k")
+
+    def __init__(self, phi: Polynomial):
+        if phi.degree < 1:
+            raise ValueError("IntegerModel requires degree >= 1")
+        self.scale = lcm(*(c.denominator for c in phi.coeffs))
+        coeffs = [int(c * self.scale) for c in phi.coeffs]
+        self.lead, self.lower = coeffs[-1], coeffs[-2::-1]  # lower: f_(d-1), ..., f_0
+        self.k = self.scale * abs(self.lead)
+
+    def __call__(self, a: int, b: int) -> tuple[int, int]:
+        num = self.lead
+        bpow = 1
+        for c in self.lower:  # homogeneous Horner: bpow runs through b, ..., b^d
+            bpow *= b
+            num = num * a + c * bpow if c else num * a
+        den = self.scale * bpow
+        t = gcd(gcd(den, self.k), num)
+        while t > 1:
+            num, den = num // t, den // t
+            t = gcd(gcd(den, self.k), num)
+        return num, den
+
+    def orbit(
+        self, start: Coefficient, steps: int, digit_budget: Optional[int] = None, *, track=False, partial=None
+    ) -> Iterator[tuple[int, int]]:
+        """Yield phi^n(start) for n = 1..steps as coprime pairs (a, b), b > 0.
+
+        Each value is checked before it is yielded: with track, a return to the
+        start or to an earlier value raises PreperiodicPoint, then a numerator
+        or denominator longer than digit_budget decimal digits raises
+        DigitBudgetExceeded.  Both carry the partial result the caller fills.
+        """
+        x = as_rational(start)
+        a, b = x.numerator, x.denominator
+        bit_budget = None if digit_budget is None else int(digit_budget / _LOG10_2) + 1
+        seen = {(a, b)}
+        for n in range(1, steps + 1):
+            a, b = self(a, b)
+            if track:
+                if a == x.numerator and b == x.denominator:
+                    raise PreperiodicPoint(f"orbit returns to the start at step {n}", n, partial)
+                if (a, b) in seen:
+                    raise PreperiodicPoint(f"orbit value repeats at step {n}", n, partial)
+                seen.add((a, b))
+            if bit_budget is not None and max(a.bit_length(), b.bit_length()) > bit_budget:
+                raise DigitBudgetExceeded(f"orbit value at step {n} exceeds {digit_budget} digits", partial)
+            yield a, b

@@ -5,11 +5,17 @@ Sequences are built by exact iteration of the centered map (the input map
 conjugated so the starting point sits at 0); primitive parts come from
 gcd-stripping, so no factorization is ever needed to decide membership in
 the Zsigmondy set.
+
+Every orbit here runs on one engine, ratfield.IntegerModel, with its budget
+and preperiodicity checks: phi = F(X, Y) / (L Y^d) on coprime pairs (a, b),
+reduced by gcds with the small k = L |f_d| alone since F(a, b) = f_d a^d
+(mod b).  Records keep the pair; their Fraction value is built on demand.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -20,7 +26,6 @@ from .divisibility import (
     IdealPair,
     PrimitiveSplit,
     factor,
-    ideal_pair,
     primitive_split,
     prime_to_s_norm,
     valuation,
@@ -31,38 +36,20 @@ from .heights import (
     canonical_height,
     height_comparison_bound,
     log_int,
-    rational_height,
     sum_local_at_infinity,
 )
 from .ratfield import (
     Coefficient,
+    DigitBudgetExceeded,
+    IntegerModel,
     Polynomial,
+    PreperiodicPoint,
     ProjPoint,
     as_rational,
     conjugate,
     is_powerful,
     squarefree_decomposition,
 )
-
-_DIGIT_TO_BITS = 1 / 0.30102999566398120
-
-
-class PreperiodicPoint(Exception):
-    """Raised when an orbit construction finds a finite forward orbit."""
-
-    def __init__(self, message: str, index: int, partial=None):
-        super().__init__(message)
-        self.index = index
-        self.partial = partial
-
-
-class DigitBudgetExceeded(Exception):
-    """Raised when an orbit value outgrows the configured digit budget; the
-    partial result built so far rides along."""
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
 
 
 class HypothesisViolated(Exception):
@@ -76,10 +63,14 @@ class HypothesisViolated(Exception):
 @dataclass(frozen=True)
 class OrbitRecord:
     n: int
-    value: Fraction
+    sign: int  # -1 or 1: the orbit value is sign * ideal.A / ideal.B
     ideal: IdealPair
     split: PrimitiveSplit
     primitive: bool
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.sign * self.ideal.A, self.ideal.B)
 
 
 @dataclass
@@ -130,34 +121,13 @@ def build_sequence(
     alpha = as_rational(alpha)
     centered = conjugate(phi, alpha)
     seq = OrbitSequence(phi=phi, alpha=alpha, centered=centered, records=[])
-    bit_budget = int(digit_budget * _DIGIT_TO_BITS) + 1
-
-    seen = {Fraction(0)}
     history: list[int] = []
-    x = Fraction(0)
-    for n in range(1, N + 1):
-        x = centered(x)
-        if x == 0:
-            raise PreperiodicPoint(f"orbit returns to the start at step {n}", n, seq)
-        if x in seen:
-            raise PreperiodicPoint(f"orbit value repeats at step {n}", n, seq)
-        seen.add(x)
-        if max(x.numerator.bit_length(), x.denominator.bit_length()) > bit_budget:
-            raise DigitBudgetExceeded(
-                f"orbit value at step {n} exceeds {digit_budget} digits", seq
-            )
-        pair = ideal_pair(x)
-        split = primitive_split(pair.A, history)
-        seq.records.append(
-            OrbitRecord(
-                n=n,
-                value=x,
-                ideal=pair,
-                split=split,
-                primitive=split.primitive_part > 1,
-            )
-        )
-        history.append(pair.A)
+    orbit = IntegerModel(centered).orbit(0, N, digit_budget, track=True, partial=seq)
+    for n, (a, b) in enumerate(orbit, 1):
+        A = abs(a)
+        split = primitive_split(A, history)
+        seq.records.append(OrbitRecord(n, -1 if a < 0 else 1, IdealPair(A, b), split, split.primitive_part > 1))
+        history.append(A)
     return seq
 
 
@@ -191,15 +161,12 @@ def wandering_verdict(
     escape = max(Fraction(1), (1 + tail_sum) / lead)
     height_ceiling = height_comparison_bound(phi) + 1.0
 
-    x = as_rational(alpha)
-    seen = {x}
-    for _ in range(max(1, probe)):
-        x = phi(x)
-        if x in seen:
-            return "preperiodic"
-        seen.add(x)
-        if abs(x) > escape or rational_height(x) > height_ceiling:
-            return "wandering"
+    try:
+        for a, b in IntegerModel(phi).orbit(alpha, max(1, probe), track=True):
+            if abs(a) * escape.denominator > escape.numerator * b or log_int(max(abs(a), b)) > height_ceiling:
+                return "wandering"
+    except PreperiodicPoint:
+        return "preperiodic"
     est = canonical_height(phi, alpha, tol)
     if est.value - est.error_bound > 0:
         return "wandering"
@@ -310,8 +277,6 @@ def history_indices(
         n for n in range(1, n_max + 1) if history_predicate(d, comparison_bound, hhat0, n)
     )
     if n_max >= 1 and history_predicate(d, comparison_bound, hhat0, n_max):
-        import warnings
-
         warnings.warn(
             f"history predicate still holds at n_max={n_max}; scan window too small",
             stacklevel=2,
@@ -350,9 +315,6 @@ def zsigmondy_bound(inputs: BoundInputs) -> BoundBreakdown:
     total = startup_term + history_term + proximity_gamma_term + proximity_log_term
 
     window = _history_window(d, B, h0)
-    history_set = frozenset(
-        n for n in range(1, window + 1) if history_predicate(d, B, h0, n)
-    )
     return BoundBreakdown(
         startup_term=startup_term,
         history_term=history_term,
@@ -360,7 +322,7 @@ def zsigmondy_bound(inputs: BoundInputs) -> BoundBreakdown:
         proximity_log_term=proximity_log_term,
         total=total,
         startup_set=startup_indices(d, B, h0),
-        history_set=history_set,
+        history_set=history_indices(d, B, h0, window),
         history_scan_limit=window,
         startup_zero_predicate=startup_predicate(d, B, h0, 0),
         history_zero_predicate=history_predicate(d, B, h0, 0),
@@ -378,9 +340,13 @@ def _hhat0_for(seq: OrbitSequence, hhat0: Optional[HeightEstimate]) -> HeightEst
     return canonical_height(seq.centered, 0, 1e-6)
 
 
-def _close_approach_sum(seq: OrbitSequence, n: int, places: PlaceSet) -> float:
+def _close_approach_band(seq: OrbitSequence, n: int, places: PlaceSet, hhat0: Optional[HeightEstimate]):
+    """The local log-distance sum at index n, and d^n * hhat0 / 8 at both ends of its error band."""
+    hhat0 = _hhat0_for(seq, hhat0)
     rec = seq.record(n)
-    return sum_local_at_infinity(ProjPoint.from_value(rec.value), places)
+    lam = sum_local_at_infinity(ProjPoint(rec.ideal.B, rec.sign * rec.ideal.A), places)
+    low = (hhat0.value - hhat0.error_bound) * seq.degree**n / 8.0
+    return lam, low, (hhat0.value + hhat0.error_bound) * seq.degree**n / 8.0
 
 
 def is_close_approach(
@@ -395,9 +361,7 @@ def is_close_approach(
     Comparisons near the boundary use the estimate's error bound pessimistically,
     so an ambiguous index is reported as a close approach (see
     close_approach_ambiguous to detect that case)."""
-    hhat0 = _hhat0_for(seq, hhat0)
-    lam = _close_approach_sum(seq, n, places)
-    low = (hhat0.value - hhat0.error_bound) * seq.degree**n / 8.0
+    lam, low, _ = _close_approach_band(seq, n, places, hhat0)
     return lam >= low
 
 
@@ -408,10 +372,7 @@ def close_approach_ambiguous(
     hhat0: Optional[HeightEstimate] = None,
 ) -> bool:
     """True when the close-approach comparison falls inside the error band."""
-    hhat0 = _hhat0_for(seq, hhat0)
-    lam = _close_approach_sum(seq, n, places)
-    low = (hhat0.value - hhat0.error_bound) * seq.degree**n / 8.0
-    high = (hhat0.value + hhat0.error_bound) * seq.degree**n / 8.0
+    lam, low, high = _close_approach_band(seq, n, places, hhat0)
     return low <= lam < high
 
 
@@ -584,25 +545,6 @@ class GrowthReport:
         return self.passed
 
 
-def _int_orbit(phi: Polynomial, N: int, digit_budget: int) -> list[int]:
-    """Orbit of 0 under an integer-coefficient map, as exact ints."""
-    coeffs = [int(c) for c in phi.coeffs]
-    bit_budget = int(digit_budget * _DIGIT_TO_BITS) + 1
-    orbit = []
-    x = 0
-    for n in range(1, N + 1):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        x = acc
-        if x.bit_length() > bit_budget:
-            raise DigitBudgetExceeded(
-                f"orbit value at step {n} exceeds {digit_budget} digits", orbit
-            )
-        orbit.append(x)
-    return orbit
-
-
 def growth_check(spec: FamilySpec, N: int, digit_budget: int = 100_000) -> GrowthReport:
     """Verify |phi^n(0)| > |phi^(n-1)(0)|^2 for 2 <= n <= N with
     |phi(0)|^2 >= 4, and the exponent floor |phi^n(0)| >= max|a_j|^alpha_n
@@ -611,15 +553,13 @@ def growth_check(spec: FamilySpec, N: int, digit_budget: int = 100_000) -> Growt
     if fixed_or_wandering(spec) != "wandering":
         raise HypothesisViolated("0 is fixed", "growth requires 0 to wander")
     phi = family_build(spec)
-    orbit = _int_orbit(phi, N, digit_budget)
+    orbit: list[int] = []  # the map has integer coefficients, so every b is 1
+    for a, _ in IntegerModel(phi).orbit(0, N, digit_budget, partial=orbit):
+        orbit.append(a)
     m = spec.m
     biggest_offset = max(abs(a) for a in spec.offsets())
 
-    square_ok = orbit[0] ** 2 >= 4
-    for n in range(2, N + 1):
-        if abs(orbit[n - 1]) <= orbit[n - 2] ** 2:
-            square_ok = False
-            break
+    square_ok = orbit[0] ** 2 >= 4 and all(abs(orbit[n - 1]) > orbit[n - 2] ** 2 for n in range(2, N + 1))
 
     floors: list[Fraction] = []
     floor_ok = True
@@ -696,33 +636,24 @@ def valuation_stability_check(
         raise HypothesisViolated("map is not powerful")
     E = max(mult for _, mult in squarefree_decomposition(phi))
 
-    bit_budget = int(digit_budget * _DIGIT_TO_BITS) + 1
-    values: list[Fraction] = []
-    x = Fraction(0)
-    seen = {x}
-    for n in range(1, N + 1):
-        x = phi(x)
-        if x == 0 or x in seen:
-            raise HypothesisViolated("0 is preperiodic")
-        seen.add(x)
-        if max(x.numerator.bit_length(), x.denominator.bit_length()) > bit_budget:
-            raise DigitBudgetExceeded(f"orbit value at step {n} exceeds {digit_budget} digits", values)
-        values.append(x)
+    values: list[tuple[int, int]] = []  # the orbit as coprime pairs (a, b)
+    try:
+        for pair in IntegerModel(phi).orbit(0, N, digit_budget, track=True, partial=values):
+            values.append(pair)
+    except PreperiodicPoint:
+        raise HypothesisViolated("0 is preperiodic") from None
 
     skip = set(S.finite_primes)
     failures: list[StabilityFailure] = []
     untested: list[int] = []
     discovered: set[int] = set()
     terms = []
-    for n, v in enumerate(values, 1):
+    for n, (a, b) in enumerate(values, 1):
         # denominators must be supported inside S
-        den = v.denominator
-        for p in skip:
-            while den % p == 0:
-                den //= p
+        den = prime_to_s_norm(b, S)
         if den != 1:
             failures.append(StabilityFailure("denominator", 0, n, 1, den))
-        A = abs(v.numerator)
+        A = abs(a)
         terms.append(A)
         fac = factor(A, budget, cache)
         discovered.update(p for p in fac.factors if p not in skip)
@@ -740,20 +671,23 @@ def valuation_stability_check(
                 failures.append(StabilityFailure("valuation", p, n, expected, v[n - 1]))
 
     # every term must divide the E-th derivative power at its predecessor in
-    # S-integers: away from S, the reduced quotient may keep no denominator
-    # primes.  Exact and factorization-free, so it covers every index as a
-    # potential rank, including primes the budget never exposed.
-    dphi = phi.derivative()
-    for r in range(1, N + 1):
-        prev = values[r - 2] if r >= 2 else Fraction(0)
-        dval = dphi(prev)
-        if dval == 0:
+    # S-integers: away from S, the reduced quotient dphi(x_(r-1))^E / x_r may
+    # keep no denominator primes.  Exact and factorization-free, so it covers
+    # every index as a potential rank, including primes the budget never
+    # exposed.  On integers: with dphi(x_(r-1)) = P/Q and x_r = +-A/B reduced,
+    # the quotient is P^E B / (Q^E A); at each prime one of v(P), v(Q) and one
+    # of v(A), v(B) is 0, so its reduced denominator is
+    # Q^E/gcd(Q^E, B) * A/gcd(A, P^E).  Dropping the primes of S commutes with
+    # both factors, hence the prime-to-S parts Qs, As below; the big gcd of As
+    # and P^E mod As is paid only when As does not divide P^E.
+    dphi = IntegerModel(phi.derivative())
+    for r, (prev, (a, b)) in enumerate(zip([(0, 1)] + values, values), 1):
+        P, Q = dphi(*prev)
+        if P == 0:
             continue  # zero is divisible by everything
-        quotient = dval**E / values[r - 1]
-        residue = quotient.denominator
-        for p in skip:
-            while residue % p == 0:
-                residue //= p
+        qs_e = prime_to_s_norm(Q, S) ** E
+        As = prime_to_s_norm(abs(a), S)
+        residue = qs_e // math.gcd(qs_e, b) * (As // math.gcd(As, pow(P, E, As)))
         if residue != 1:
             failures.append(StabilityFailure("derivative", 0, r, 1, residue))
 

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from dynzsig.cli import (
     FactorCache,
     ParseError,
     RunConfig,
-    cache_lookup_store,
     main,
     parse_poly,
     parse_rational,
@@ -256,6 +256,23 @@ def test_exit_code_good_runs_are_zero():
     assert run("powerful-check", poly="z^3")[0] == 0
 
 
+def test_run_subcommand_restores_int_str_limit():
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int->str limit")
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(12_345)
+        for name, args in (
+            ("orbit", {"poly": "z^2+1", "n": 6}),
+            ("orbit", {"poly": "z^2+1", "n": 30}),  # digit budget exceeded
+            ("zsigmondy", {"poly": "z^^2"}),  # parse error
+        ):
+            run_subcommand(name, args, RunConfig(digit_budget=20_000))
+            assert sys.get_int_max_str_digits() == 12_345, name
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 # --- output formats ----------------------------------------------------------------
 
 
@@ -329,30 +346,30 @@ def test_cache_round_trip(tmp_path):
     path = str(tmp_path / "factors.jsonl")
     cache = FactorCache(path)
     fact = factor(458330)
-    stored = cache_lookup_store(cache, 458330, fact)
+    stored = cache.store(458330, fact)
     assert stored.factors == fact.factors
     # a new handle reads it back without recomputation
     reread = FactorCache(path)
-    hit = cache_lookup_store(reread, 458330)
+    hit = reread.get(458330)
     assert hit is not None and hit.factors == {2: 1, 5: 1, 45833: 1}
 
 
 def test_cache_miss_returns_none(tmp_path):
     cache = FactorCache(str(tmp_path / "factors.jsonl"))
-    assert cache_lookup_store(cache, 12345) is None
+    assert cache.get(12345) is None
 
 
 def test_cache_upgrade_partial_entry(tmp_path):
     path = str(tmp_path / "factors.jsonl")
     cache = FactorCache(path)
     partial = Factorization({2: 1}, 458330 // 2)
-    cache_lookup_store(cache, 458330, partial)
+    cache.store(458330, partial)
     assert not cache.get(458330).complete
     complete = factor(458330)
-    cache_lookup_store(cache, 458330, complete)
+    cache.store(458330, complete)
     assert cache.get(458330).complete
     # downgrades are ignored
-    cache_lookup_store(cache, 458330, partial)
+    cache.store(458330, partial)
     assert cache.get(458330).complete
     assert FactorCache(path).get(458330).complete
 

@@ -1,0 +1,329 @@
+"""Differential tests of the integer orbit engine against Fraction-Horner
+oracles: the orbit loops the engine replaced, kept here verbatim in spirit.
+
+Orbit pairs, the step and message of a preperiodicity or budget stop, and
+every report built on an orbit must come out identical.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from dynzsig import (  # noqa: E402
+    DigitBudgetExceeded,
+    FactorBudget,
+    FamilyFactor,
+    FamilySpec,
+    HeightEstimate,
+    HypothesisViolated,
+    IntegerModel,
+    PlaceSet,
+    Polynomial,
+    PreperiodicPoint,
+    build_sequence,
+    canonical_height,
+    conjugate,
+    family_build,
+    growth_check,
+    height_comparison_bound,
+    ideal_pair,
+    rational_height,
+    squarefree_decomposition,
+    valuation_stability_check,
+    wandering_verdict,
+)
+from dynzsig.divisibility import factor, valuation  # noqa: E402
+
+# the replaced loops wrote the bit budget as digits * (1 / log10 2) or as
+# digits / log10 2; the two agree below 59,632,978 digits, far above any budget
+# drawn here, and the engine uses the second
+_DIGIT_TO_BITS = 1 / 0.30102999566398120
+
+SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+TINY_FACTOR_BUDGET = FactorBudget(trial_bound=2_000, rho_rounds=2_000, rho_digit_limit=30)
+
+
+# --- oracles ------------------------------------------------------------------------------
+
+
+def oracle_orbit(phi, start, N, digit_budget=None, track=False):
+    """Fraction-Horner orbit: the (numerator, denominator) pairs and the
+    (message, step) that stopped it early, if any."""
+    x0 = x = Fraction(start)
+    seen = {x}
+    bit_budget = None if digit_budget is None else int(digit_budget * _DIGIT_TO_BITS) + 1
+    pairs = []
+    for n in range(1, N + 1):
+        x = phi(x)
+        if track:
+            if x == x0:
+                return pairs, (f"orbit returns to the start at step {n}", n)
+            if x in seen:
+                return pairs, (f"orbit value repeats at step {n}", n)
+            seen.add(x)
+        if bit_budget is not None and max(x.numerator.bit_length(), x.denominator.bit_length()) > bit_budget:
+            return pairs, (f"orbit value at step {n} exceeds {digit_budget} digits", n)
+        pairs.append((x.numerator, x.denominator))
+    return pairs, None
+
+
+def engine_orbit(phi, start, N, digit_budget=None, track=False):
+    pairs = []
+    try:
+        for pair in IntegerModel(phi).orbit(start, N, digit_budget, track=track):
+            pairs.append(pair)
+    except PreperiodicPoint as exc:
+        return pairs, (str(exc), exc.index)
+    except DigitBudgetExceeded as exc:
+        return pairs, (str(exc), len(pairs) + 1)
+    return pairs, None
+
+
+def oracle_canonical_height(phi, P, tol, digit_budget):
+    d = phi.degree
+    B = height_comparison_bound(phi)
+    target = 0
+    tail = B
+    while tail > tol:
+        tail /= d
+        target += 1
+    x = Fraction(P)
+    steps = 0
+    truncated = False
+    bit_budget = int(digit_budget / 0.30102999566398120) + 1
+    while steps < target:
+        nxt = phi(x)
+        if max(nxt.numerator.bit_length(), nxt.denominator.bit_length()) > bit_budget:
+            truncated = True
+            break
+        x = nxt
+        steps += 1
+    value = rational_height(x) / d**steps
+    error = B / d**steps + 4e-16 * (1.0 + abs(value))
+    return HeightEstimate(value=value, error_bound=error, truncated=truncated, iterations=steps)
+
+
+def oracle_wandering_verdict(phi, alpha, probe, tol):
+    lead = abs(phi.coeffs[-1])
+    tail_sum = sum(abs(c) for c in phi.coeffs[:-1])
+    escape = max(Fraction(1), (1 + tail_sum) / lead)
+    height_ceiling = height_comparison_bound(phi) + 1.0
+    x = Fraction(alpha)
+    seen = {x}
+    for _ in range(max(1, probe)):
+        x = phi(x)
+        if x in seen:
+            return "preperiodic"
+        seen.add(x)
+        if abs(x) > escape or rational_height(x) > height_ceiling:
+            return "wandering"
+    est = oracle_canonical_height(phi, alpha, tol, 100_000)
+    return "wandering" if est.value - est.error_bound > 0 else "unknown"
+
+
+def oracle_valuation_stability(phi, S, N, budget, digit_budget):
+    """(kind of stop, details) of the Fraction-Horner stability check."""
+    E = max(mult for _, mult in squarefree_decomposition(phi))
+    values, stop = oracle_orbit(phi, 0, N, digit_budget, track=True)
+    if stop is not None:
+        if "exceeds" in stop[0]:
+            return "budget", stop[0]
+        return "preperiodic", "0 is preperiodic"
+    values = [Fraction(a, b) for a, b in values]
+    skip = set(S.finite_primes)
+    failures = []
+    untested = []
+    discovered = set()
+    terms = []
+    for n, v in enumerate(values, 1):
+        den = v.denominator
+        for p in skip:
+            while den % p == 0:
+                den //= p
+        if den != 1:
+            failures.append(("denominator", 0, n, 1, den))
+        A = abs(v.numerator)
+        terms.append(A)
+        fac = factor(A, budget)
+        discovered.update(p for p in fac.factors if p not in skip)
+        if not fac.complete:
+            untested.append(fac.cofactor)
+    vals = {p: [valuation(t, p) for t in terms] for p in sorted(discovered)}
+    ranks = {}
+    for p, v in vals.items():
+        r = next(n for n in range(1, N + 1) if v[n - 1] > 0)
+        ranks[p] = r
+        for n in range(1, N + 1):
+            expected = v[r - 1] if n % r == 0 else 0
+            if v[n - 1] != expected:
+                failures.append(("valuation", p, n, expected, v[n - 1]))
+    dphi = phi.derivative()
+    for r in range(1, N + 1):
+        prev = values[r - 2] if r >= 2 else Fraction(0)
+        dval = dphi(prev)
+        if dval == 0:
+            continue
+        residue = (dval**E / values[r - 1]).denominator
+        for p in skip:
+            while residue % p == 0:
+                residue //= p
+        if residue != 1:
+            failures.append(("derivative", 0, r, 1, residue))
+    return "report", (ranks, failures, sorted(set(untested)))
+
+
+# --- strategies ---------------------------------------------------------------------------
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+nonzero_rationals = small_rationals.filter(lambda c: c != 0)
+starts = st.one_of(st.integers(-3, 3).map(Fraction), small_rationals)
+
+
+@st.composite
+def maps(draw):
+    """Degree 2-4 maps with rational coefficients, and a share of z^2 + c with
+    c among values whose orbits are often finite."""
+    if draw(st.booleans()):
+        c = draw(st.sampled_from([0, -1, -2, Fraction(-3, 4), Fraction(1, 4), Fraction(-1, 2), 1]))
+        return Polynomial([c, 0, 1])
+    d = draw(st.integers(2, 4))
+    lower = draw(st.lists(st.one_of(st.just(Fraction(0)), small_rationals), min_size=d, max_size=d))
+    return Polynomial(lower + [draw(nonzero_rationals)])
+
+
+@st.composite
+def powerful_maps(draw):
+    """c * (z + u)^e1 * (z + v)^e2 of degree 2-4 with every multiplicity >= 2."""
+    z = Polynomial.identity()
+    c = draw(nonzero_rationals)
+    u = draw(small_rationals)
+    shape = draw(st.sampled_from([(2,), (3,), (4,), (2, 2)]))
+    phi = Polynomial.constant(c) * (z + u) ** shape[0]
+    if len(shape) == 2:
+        v = draw(small_rationals.filter(lambda v: v != u))
+        phi = phi * (z + v) ** shape[1]
+    return phi
+
+
+place_sets = st.sets(st.sampled_from([2, 3, 5, 7]), max_size=3).map(PlaceSet.from_primes)
+budgets = st.integers(3, 400)
+
+
+# --- the engine against the oracle -------------------------------------------------------
+
+
+@SETTINGS
+@given(maps(), starts, st.integers(1, 8), st.one_of(st.none(), budgets), st.booleans())
+@example(Polynomial([Fraction(1, 3), 0, -2]), Fraction(1, 5), 6, None, True)  # f_d < 0
+@example(Polynomial([Fraction(1, 3), 0, 1]), Fraction(0), 8, 60, True)  # alpha = 0
+@example(Polynomial([1, 0, 1]), Fraction(1, 2), 6, None, False)  # k = 1
+@example(Polynomial([Fraction(1, 3), Fraction(1, 2), 9]), Fraction(1, 6), 5, None, True)  # 3 | b, 3 | f_d
+@example(Polynomial([-1, 0, 1]), Fraction(0), 5, None, True)  # returns to the start
+@example(Polynomial([0, 0, 1]), Fraction(-1), 5, None, True)  # repeats
+@example(Polynomial([Fraction(1, 7), 0, 1]), Fraction(1, 3), 4, 3, False)  # only the denominator outgrows
+def test_engine_orbit_matches_fraction_horner(phi, start, N, digit_budget, track):
+    assert engine_orbit(phi, start, N, digit_budget, track) == oracle_orbit(phi, start, N, digit_budget, track)
+
+
+@SETTINGS
+@given(maps(), starts, st.integers(1, 8), budgets)
+@example(Polynomial([-1, 0, 1]), Fraction(0), 5, 100)
+@example(Polynomial([Fraction(1, 3), Fraction(1, 2), 4]), Fraction(-1, 8), 6, 400)
+def test_build_sequence_matches_fraction_horner(phi, alpha, N, digit_budget):
+    values, stop = oracle_orbit(conjugate(phi, alpha), 0, N, digit_budget, track=True)
+    try:
+        seq = build_sequence(phi, alpha, N, digit_budget=digit_budget)
+        got_stop = None
+    except (PreperiodicPoint, DigitBudgetExceeded) as exc:
+        seq = exc.partial
+        got_stop = (str(exc), len(seq.records) + 1)
+        if isinstance(exc, PreperiodicPoint):
+            assert exc.index == got_stop[1]
+    assert got_stop == stop
+    assert [(r.value.numerator, r.value.denominator) for r in seq.records] == values
+    assert [r.ideal for r in seq.records] == [ideal_pair(Fraction(a, b)) for a, b in values]
+
+
+@SETTINGS
+@given(maps(), starts, st.sampled_from([1e-2, 1e-4, 1e-6, 1e-9]), st.integers(20, 3000))
+@example(Polynomial([Fraction(1, 3), 0, 1]), Fraction(2, 7), 1e-9, 2000)
+@example(Polynomial([Fraction(1, 3), 0, 1]), Fraction(0), 1e-6, 500)
+@example(Polynomial([-2, 0, 1]), Fraction(2), 1e-6, 500)  # fixed point
+def test_canonical_height_is_identical(phi, P, tol, digit_budget):
+    got = canonical_height(phi, P, tol, digit_budget=digit_budget)
+    assert got == oracle_canonical_height(phi, P, tol, digit_budget)
+
+
+@SETTINGS
+@given(maps(), starts, st.integers(1, 12), st.sampled_from([1e-2, 1e-3]))
+def test_wandering_verdict_matches_fraction_horner(phi, alpha, probe, tol):
+    assert wandering_verdict(phi, alpha, probe, tol) == oracle_wandering_verdict(phi, alpha, probe, tol)
+
+
+@SETTINGS
+@given(powerful_maps(), place_sets, st.integers(1, 4), st.integers(20, 300))
+@example(Polynomial([4, 4, 1]) * Polynomial([9, -6, 1]), PlaceSet(), 4, 300)  # (z+2)^2 (z-3)^2
+# 1/2 (z-4)^2 (z-3/2)^2: A_1 = 18 shares 3^2 with P^E, so the residue is 2
+@example(Polynomial([Fraction(1, 2)]) * Polynomial([16, -8, 1]) * Polynomial([Fraction(9, 4), -3, 1]), PlaceSet(), 3, 300)
+def test_valuation_stability_matches_fraction_horner(phi, S, N, digit_budget):
+    kind, want = oracle_valuation_stability(phi, S, N, TINY_FACTOR_BUDGET, digit_budget)
+    try:
+        report = valuation_stability_check(phi, S, N, budget=TINY_FACTOR_BUDGET, digit_budget=digit_budget)
+    except HypothesisViolated as exc:
+        assert (kind, want) == ("preperiodic", exc.reason)
+        return
+    except DigitBudgetExceeded as exc:
+        assert (kind, want) == ("budget", str(exc))
+        return
+    failures = [(f.kind, f.prime, f.index, f.expected, f.got) for f in report.failures]
+    assert (kind, want) == ("report", (report.ranks, failures, report.untested_cofactors))
+
+
+def oracle_growth_orbit(phi, N, digit_budget):
+    coeffs = [int(c) for c in phi.coeffs]
+    bit_budget = int(digit_budget * _DIGIT_TO_BITS) + 1
+    orbit = []
+    x = 0
+    for n in range(1, N + 1):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        x = acc
+        if x.bit_length() > bit_budget:
+            return orbit, f"orbit value at step {n} exceeds {digit_budget} digits"
+        orbit.append(x)
+    return orbit, None
+
+
+family_factors = st.builds(
+    FamilyFactor,
+    inner=st.integers(1, 3).map(Polynomial.constant),
+    offset=st.integers(-5, 5).filter(lambda a: a != 0),
+    exponent=st.integers(2, 3),
+)
+
+
+@SETTINGS
+@given(st.tuples(family_factors, family_factors), st.integers(1, 4), st.integers(5, 2000))
+def test_growth_orbit_matches_integer_horner(factors, N, digit_budget):
+    spec = FamilySpec(factors)
+    try:
+        phi = family_build(spec)
+    except HypothesisViolated:
+        return
+    orbit, stop = oracle_growth_orbit(phi, N, digit_budget)
+    try:
+        report = growth_check(spec, N, digit_budget=digit_budget)
+    except DigitBudgetExceeded as exc:
+        assert (exc.partial, str(exc)) == (orbit, stop)
+        return
+    assert stop is None
+    assert report.first_term == orbit[0]
+    square_ok = orbit[0] ** 2 >= 4 and all(abs(orbit[n - 1]) > orbit[n - 2] ** 2 for n in range(2, N + 1))
+    assert report.square_growth_ok == square_ok
+    assert report.orbit_digits == [len(str(abs(v))) for v in orbit]  # all below 10,000 bits

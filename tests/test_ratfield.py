@@ -1,16 +1,18 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from dynzsig.ratfield import (
+    DigitBudgetExceeded,
+    IntegerModel,
     Polynomial,
+    PreperiodicPoint,
     ProjPoint,
     RationalMap,
     conjugate,
-    derivative,
     is_powerful,
-    poly_eval,
     poly_gcd,
     reverse_map,
     squarefree_decomposition,
@@ -26,22 +28,22 @@ def random_poly(rng, max_deg=4, span=9):
     return Polynomial(coeffs)
 
 
-# --- poly_eval -------------------------------------------------------------
+# --- evaluation ------------------------------------------------------------
 
 
 def test_poly_eval_square_plus_one():
     f = Polynomial([1, 0, 1])
-    assert poly_eval(f, 2) == 5
+    assert f(2) == 5
 
 
 def test_poly_eval_identity():
-    assert poly_eval(Z, Fraction(7, 3)) == Fraction(7, 3)
+    assert Z(Fraction(7, 3)) == Fraction(7, 3)
 
 
 def test_poly_eval_zero_polynomial():
     zero = Polynomial.zero()
     for x in (0, 5, Fraction(-3, 7)):
-        assert poly_eval(zero, x) == 0
+        assert zero(x) == 0
 
 
 def test_poly_eval_distributes_over_composition():
@@ -138,17 +140,17 @@ def test_conjugate_rejects_constants():
 
 
 def test_derivative_power_rule():
-    assert derivative(Polynomial([1, 0, 1])) == Polynomial([0, 2])
+    assert Polynomial([1, 0, 1]).derivative() == Polynomial([0, 2])
 
 
 def test_derivative_constant():
-    assert derivative(Polynomial([42])).is_zero
+    assert Polynomial([42]).derivative().is_zero
 
 
 def test_derivative_at_double_root():
     f = (Z + 2) ** 2 * (Z + 3) ** 2
     assert f(-2) == 0
-    assert derivative(f)(-2) == 0
+    assert f.derivative()(-2) == 0
 
 
 # --- squarefree decomposition and powerful test -----------------------------
@@ -287,6 +289,89 @@ def test_projpoint_from_value():
 def test_projpoint_rejects_origin():
     with pytest.raises(ValueError):
         ProjPoint(0, 0)
+
+
+# --- integer orbit engine --------------------------------------------------
+
+
+def fraction_orbit(phi, start, steps):
+    """The Fraction-Horner orbit the engine replaced, as (numerator, denominator)."""
+    x = Fraction(start)
+    out = []
+    for _ in range(steps):
+        x = phi(x)
+        out.append((x.numerator, x.denominator))
+    return out
+
+
+HALF_Z = Polynomial([0, Fraction(1, 2)])
+
+
+@pytest.mark.parametrize(
+    "phi, start",
+    [
+        pytest.param(Polynomial([Fraction(1, 3), 0, -2]), Fraction(1, 5), id="lead<0"),
+        pytest.param(Polynomial([Fraction(-2, 7), 1, 0, -1]), Fraction(-3, 2), id="cubic lead<0"),
+        pytest.param(Polynomial([Fraction(1, 3), 0, 1]), 0, id="alpha=0"),
+        pytest.param(Polynomial([1, 0, 1]), Fraction(1, 2), id="k=1 rational start"),
+        pytest.param(Polynomial([-2, 0, 1]), 3, id="k=1 integer"),
+        pytest.param(Polynomial([1, 0, 2]), Fraction(1, 2), id="2 | b and 2 | f_d"),
+        pytest.param(HALF_Z + Polynomial([Fraction(1, 3), 0, 9]), Fraction(1, 6), id="3 | b and 3 | f_d"),
+        pytest.param(HALF_Z + Polynomial([Fraction(1, 3), 0, 4]), Fraction(-1, 8), id="two gcd rounds"),
+    ],
+)
+def test_integer_model_matches_fraction_horner(phi, start):
+    pairs = list(IntegerModel(phi).orbit(start, 5))
+    assert pairs == fraction_orbit(phi, start, 5)
+    for a, b in pairs:
+        assert b > 0
+        assert gcd(a, b) == 1
+
+
+def test_integer_model_reduces_in_two_rounds():
+    # k = L*|f_d| = 48 covers 2^4 of den = 3 * 8^2 only in two gcd rounds
+    model = IntegerModel(HALF_Z + Polynomial([Fraction(1, 3), 0, 4]))
+    assert (model.scale, model.k) == (6, 144)
+    assert model(-1, 8) == (1, 3)
+
+
+def test_integer_model_rejects_constants():
+    with pytest.raises(ValueError):
+        IntegerModel(Polynomial([5]))
+
+
+@pytest.mark.parametrize(
+    "phi, start, message, index",
+    [
+        (Polynomial([-1, 0, 1]), 0, "orbit returns to the start at step 2", 2),
+        (Polynomial([-2, 0, 1]), 2, "orbit returns to the start at step 1", 1),
+        (Polynomial([0, 0, 1]), -1, "orbit value repeats at step 2", 2),
+        (Polynomial([Fraction(-3, 4), 0, 1]), Fraction(1, 2), "orbit value repeats at step 2", 2),
+    ],
+)
+def test_integer_model_tracks_preperiodic_orbits(phi, start, message, index):
+    with pytest.raises(PreperiodicPoint) as err:
+        list(IntegerModel(phi).orbit(start, 10, track=True))
+    assert str(err.value) == message
+    assert err.value.index == index
+    # untracked, the same orbit runs to the end
+    assert len(list(IntegerModel(phi).orbit(start, 10))) == 10
+
+
+def test_integer_model_budget_cuts_where_fraction_orbit_outgrows_it():
+    phi = Polynomial([Fraction(1, 3), 0, 1])
+    bits = int(40 / 0.30102999566398120) + 1
+    expected = next(
+        n
+        for n, (a, b) in enumerate(fraction_orbit(phi, Fraction(2, 7), 10), 1)
+        if max(a.bit_length(), b.bit_length()) > bits
+    )
+    seen = []
+    with pytest.raises(DigitBudgetExceeded) as err:
+        for pair in IntegerModel(phi).orbit(Fraction(2, 7), 10, 40):
+            seen.append(pair)
+    assert str(err.value) == f"orbit value at step {expected} exceeds 40 digits"
+    assert seen == fraction_orbit(phi, Fraction(2, 7), expected - 1)
 
 
 # --- printing --------------------------------------------------------------
