@@ -83,9 +83,11 @@ class ExponentError(ParseError):
 
 _OPS = set("+-*^()/")
 
-# dense-polynomial expansion cost is quadratic in the degree; cap the damage
-# from a stray exponent typo
+# dense-polynomial expansion cost is quadratic in the degree: cap the exponent
+# literal against a stray typo, and the degree of every power and product
+# before it is expanded, since nested powers multiply their exponents
 _MAX_EXPONENT = 4096
+_MAX_DEGREE = 256
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -111,6 +113,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         else:
             raise ParseError(f"unexpected character {ch!r}", i)
     return tokens
+
+
+def _check_degree(degree: int, position: int):
+    if degree > _MAX_DEGREE:
+        raise ParseError(f"degree {degree} exceeds the cap {_MAX_DEGREE}", position)
 
 
 @dataclass(frozen=True)
@@ -185,6 +192,7 @@ class _Parser:
                 break
             self.take()
             rhs, rfac = self._factor()
+            _check_degree(poly.degree + rhs.degree, tok[2])
             poly = poly * rhs
             if collected is not None and rfac:
                 collected.append(rfac)
@@ -211,6 +219,7 @@ class _Parser:
             exponent = int(nxt[1])
             if exponent > _MAX_EXPONENT:
                 raise ParseError(f"exponent {exponent} exceeds the cap {_MAX_EXPONENT}", nxt[2])
+            _check_degree(base.degree * exponent, nxt[2])
             return base ** exponent, ((base, exponent),)
         return base, ((base, 1),)
 
@@ -714,6 +723,7 @@ def _cmd_family_check(args: dict, config: RunConfig):
         }
         places = denominator_place_set([f.base() for f in spec.factors])
         cache = _open_cache(config)
+        warnings.extend(getattr(cache, "warnings", []))
         stability = valuation_stability_check(
             phi,
             places,

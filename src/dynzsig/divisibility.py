@@ -1,11 +1,14 @@
 """Budgeted integer factorization, valuations, primitive parts, and the
 rigid-divisibility verifier.
 
-Factorization never fails: whatever the budget cannot split is carried as a
-composite cofactor, and downstream checks treat those cofactors as untested
-rather than as passes.  Primitive/non-primitive part extraction is pure
-gcd-stripping and needs no factorization at all, so it works on terms with
-hundreds of thousands of digits.
+Factorization never fails: one pass of chunked-gcd trial division, then
+Miller-Rabin and Pollard-Brent, and whatever the budget cannot split is
+carried as a composite cofactor.  valuation_table turns the factorizations of
+a sequence into the prime/valuation table that rigid_check and the valuation
+stability check share; both treat the cofactors as untested rather than as
+passes.  Primitive/non-primitive part extraction is pure gcd-stripping and
+needs no factorization at all, so it works on terms with hundreds of
+thousands of digits.
 """
 
 from __future__ import annotations
@@ -54,31 +57,25 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=8)
-def _primes_below(bound: int) -> tuple[int, ...]:
-    if bound < 3:
-        return (2,) if bound == 2 else ()
-    sieve = bytearray([1]) * bound
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(bound - 1) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(range(p * p, bound, p)))
-    return tuple(i for i, alive in enumerate(sieve) if alive)
-
-
 _CHUNK = 1024
 
 
 @lru_cache(maxsize=8)
 def _prime_chunks(bound: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Primes below bound grouped into chunks with their products, for
-    gcd-based trial division of very large integers."""
-    primes = _primes_below(bound)
-    out = []
-    for i in range(0, len(primes), _CHUNK):
-        group = primes[i : i + _CHUNK]
-        out.append((group, prod(group)))
-    return tuple(out)
+    """Primes below bound (just 2 when bound is 2) grouped into chunks with
+    their products, for gcd-based trial division."""
+    if bound < 3:
+        return (((2,), 2),) if bound == 2 else ()
+    sieve = bytearray([1]) * bound
+    sieve[0:2] = b"\x00\x00"
+    for p in range(2, isqrt(bound - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(range(p * p, bound, p)))
+    primes = [i for i, alive in enumerate(sieve) if alive]
+    return tuple(
+        (tuple(group), prod(group))
+        for group in (primes[i : i + _CHUNK] for i in range(0, len(primes), _CHUNK))
+    )
 
 
 @dataclass(frozen=True)
@@ -113,9 +110,6 @@ class Factorization:
 
     def reconstruct(self) -> int:
         return prod(p**e for p, e in self.factors.items()) * self.cofactor
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.factors))
 
 
 def decimal_digits(n: int) -> int:
@@ -177,10 +171,11 @@ def factor(
 ) -> Factorization:
     """Factor n >= 1 within the given budget.
 
-    Trial division runs to budget.trial_bound (gcd-chunked for huge inputs),
-    then Miller-Rabin and Pollard-Brent handle what is small enough per
-    rho_digit_limit.  Budget exhaustion is expressed through the cofactor,
-    never raised.
+    One pass of chunked-gcd trial division strips every prime below
+    budget.trial_bound, and a remainder below trial_bound**2, which is prime;
+    Miller-Rabin and Pollard-Brent then handle what is left, up to
+    rho_digit_limit digits.  Budget exhaustion is expressed through the
+    cofactor, never raised.
     """
     if n < 1:
         raise ValueError("factor requires n >= 1")
@@ -195,12 +190,11 @@ def factor(
 
 
 def _trial_by_chunks(m: int, bound: int) -> tuple[dict[int, int], int]:
-    """Strip every prime factor below bound from m via chunked gcds; stops
-    early once the scanned primes certify the remainder prime."""
+    """Strip every prime factor below bound from m via chunked gcds.  A
+    remainder below bound**2 is then prime, so it is stripped too; the scan
+    stops early once the primes scanned so far certify that."""
     found: dict[int, int] = {}
     for group, product in _prime_chunks(bound):
-        if m == 1:
-            break
         g = gcd(m, product)
         if g > 1:
             for p in group:
@@ -212,62 +206,29 @@ def _trial_by_chunks(m: int, bound: int) -> tuple[dict[int, int], int]:
                     found[p] = e
         if group[-1] * group[-1] > m:
             break
+    if 1 < m < bound * bound:
+        found[m] = 1
+        m = 1
     return found, m
 
 
 def _factor_uncached(n: int, budget: FactorBudget) -> Factorization:
-    factors: dict[int, int] = {}
-    if n == 1:
-        return Factorization(factors, 1)
-
-    # quick pass over the small primes with the classic early exit
-    rest = n
-    small_bound = min(10_000, budget.trial_bound)
-    for p in _primes_below(small_bound):
-        if p * p > rest:
-            break
-        while rest % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            rest //= p
-    if rest == 1:
-        return Factorization(dict(sorted(factors.items())), 1)
-    if rest < small_bound * small_bound:
-        factors[rest] = factors.get(rest, 0) + 1
-        return Factorization(dict(sorted(factors.items())), 1)
-
-    # queue entries carry whether trial division already ran to the full bound
+    factors, rest = _trial_by_chunks(n, budget.trial_bound)
     cofactor = 1
-    queue: list[tuple[int, bool]] = [(rest, small_bound >= budget.trial_bound)]
+    queue = [rest] if rest > 1 else []
     while queue:
-        m, fully_trialed = queue.pop()
-        if m == 1:
-            continue
+        m = queue.pop()
         if decimal_digits(m) > budget.rho_digit_limit:
-            if not fully_trialed:
-                found, m = _trial_by_chunks(m, budget.trial_bound)
-                for p, e in found.items():
-                    factors[p] = factors.get(p, 0) + e
-                if m > 1:
-                    queue.append((m, True))
-                continue
             cofactor *= m
-            continue
-        if is_probable_prime(m):
+        elif is_probable_prime(m):
             factors[m] = factors.get(m, 0) + 1
-            continue
-        if not fully_trialed:
-            found, m = _trial_by_chunks(m, budget.trial_bound)
-            for p, e in found.items():
-                factors[p] = factors.get(p, 0) + e
-            if m > 1:
-                queue.append((m, True))
-            continue
-        d = _brent_rho(m, budget.rho_rounds, budget.seed)
-        if d == 1:
-            cofactor *= m
         else:
-            queue.append((d, True))
-            queue.append((m // d, True))
+            d = _brent_rho(m, budget.rho_rounds, budget.seed)
+            if d == 1:
+                cofactor *= m
+            else:
+                queue.append(d)
+                queue.append(m // d)
     return Factorization(dict(sorted(factors.items())), cofactor)
 
 
@@ -349,6 +310,31 @@ def has_primitive_divisor(A_n: int, history: Iterable[int]) -> bool:
     return primitive_split(A_n, history).primitive_part > 1
 
 
+def valuation_table(
+    terms: list[int],
+    S: "PlaceSet",
+    budget: FactorBudget = DEFAULT_BUDGET,
+    cache: Optional[MutableMapping[int, Factorization]] = None,
+) -> tuple[dict[int, list[int]], list[int]]:
+    """The valuations in every term of each prime outside S that factoring
+    some term exposes, keyed in increasing order, and the sorted distinct
+    cofactors the budget left unfactored.
+
+    Valuations are read by division, so a prime exposed by one term is also
+    counted in a term whose factorization kept it inside a cofactor.
+    """
+    skip = set(S.finite_primes)
+    primes: set[int] = set()
+    untested: set[int] = set()
+    for term in terms:
+        fac = factor(term, budget, cache)
+        primes.update(p for p in fac.factors if p not in skip)
+        if not fac.complete:
+            untested.add(fac.cofactor)
+    vals = {p: [valuation(t, p) for t in terms] for p in sorted(primes)}
+    return vals, sorted(untested)
+
+
 @dataclass(frozen=True)
 class RigidViolation:
     condition: int  # 1 = gcd condition, 2 = constant valuation along multiples
@@ -382,16 +368,7 @@ def rigid_check(
     if any(t < 1 for t in sequence):
         raise ValueError("rigid_check requires all terms >= 1")
     N = len(sequence)
-    skip = set(S.finite_primes)
-    primes: set[int] = set()
-    untested: list[int] = []
-    for term in sequence:
-        fac = factor(term, budget, cache)
-        primes.update(p for p in fac.factors if p not in skip)
-        if not fac.complete:
-            untested.append(fac.cofactor)
-
-    vals = {p: [valuation(t, p) for t in sequence] for p in sorted(primes)}
+    vals, untested = valuation_table(sequence, S, budget, cache)
     violations: list[RigidViolation] = []
     checked_pairs = 0
     for m in range(1, N + 1):
@@ -415,7 +392,7 @@ def rigid_check(
     return RigidReport(
         verified=not violations,
         checked_pairs=checked_pairs,
-        untested_primes=sorted(set(untested)),
+        untested_primes=untested,
         violations=violations,
     )
 

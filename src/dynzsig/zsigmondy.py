@@ -28,7 +28,7 @@ from .divisibility import (
     factor,
     primitive_split,
     prime_to_s_norm,
-    valuation,
+    valuation_table,
 )
 from .heights import (
     HeightEstimate,
@@ -643,24 +643,14 @@ def valuation_stability_check(
     except PreperiodicPoint:
         raise HypothesisViolated("0 is preperiodic") from None
 
-    skip = set(S.finite_primes)
     failures: list[StabilityFailure] = []
-    untested: list[int] = []
-    discovered: set[int] = set()
-    terms = []
-    for n, (a, b) in enumerate(values, 1):
+    for n, (_, b) in enumerate(values, 1):
         # denominators must be supported inside S
         den = prime_to_s_norm(b, S)
         if den != 1:
             failures.append(StabilityFailure("denominator", 0, n, 1, den))
-        A = abs(a)
-        terms.append(A)
-        fac = factor(A, budget, cache)
-        discovered.update(p for p in fac.factors if p not in skip)
-        if not fac.complete:
-            untested.append(fac.cofactor)
 
-    vals = {p: [valuation(t, p) for t in terms] for p in sorted(discovered)}
+    vals, untested = valuation_table([abs(a) for a, _ in values], S, budget, cache)
     ranks: dict[int, int] = {}
     for p, v in vals.items():
         r = next(n for n in range(1, N + 1) if v[n - 1] > 0)
@@ -695,5 +685,5 @@ def valuation_stability_check(
         terms_checked=N,
         ranks=ranks,
         failures=failures,
-        untested_cofactors=sorted(set(untested)),
+        untested_cofactors=untested,
     )

@@ -1,7 +1,9 @@
 import json
 import random
 import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -298,6 +300,43 @@ def test_exponent_cap():
         parse_poly("(z+1)^100000")
 
 
+def test_exponent_literal_cap_is_checked_before_the_degree():
+    with pytest.raises(ParseError, match=r"^exponent 5000 exceeds the cap 4096 \(offset 6\)$"):
+        parse_poly("(z+1)^5000")
+
+
+@pytest.mark.parametrize(
+    "text", ["((z+1)^64)^64", "(z+1)^4096", "(z^2+1)^200", "(z+1)^200*(z+2)^100", "z^200*z^57"]
+)
+def test_degree_cap_fails_fast(text):
+    start = time.perf_counter()
+    code, report, diag = run("powerful-check", poly=text)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert "exceeds the cap 256" in json.loads(report)["result"]["error"]
+
+
+def test_degree_cap_admits_its_bound():
+    assert parse_poly("((z+1)^16)^16").poly.degree == 256
+    assert parse_poly("z^200*z^56").poly.degree == 256
+
+
+def test_every_benchmark_polynomial_parses(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = pytest.importorskip("workloads")
+    texts = set()
+    for name in workloads.WORKLOADS:
+        for request in workloads.catalogue(name):
+            if request.expect == 2:
+                continue
+            for flag in ("--poly", "--factors"):
+                if flag in request.argv:
+                    texts.add(request.argv[request.argv.index(flag) + 1])
+    assert len(texts) >= 20
+    for text in texts:
+        parse_poly(text)
+
+
 def test_bound_with_orbit_has_no_ambiguity_warnings():
     code, report, _ = run(
         "bound",
@@ -384,6 +423,22 @@ def test_cache_skips_corrupt_lines(tmp_path):
     assert cache.get(6).complete
     assert cache.get(10) is None
     assert len(cache.warnings) == 2
+
+
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("rigid-check", {"poly": "z^2+1", "n": 3}),
+        ("family-check", {"factors": "(z+2)^2*(z+3)^2", "n": 2}),
+    ],
+)
+def test_corrupt_cache_lines_are_reported(tmp_path, command, args):
+    path = tmp_path / "factors.jsonl"
+    path.write_text("garbage\n")
+    code, report, _ = run(command, RunConfig(cache_path=str(path)), **args)
+    assert code == 0
+    warnings = json.loads(report)["warnings"]
+    assert len(warnings) == 1 and warnings[0].startswith("cache line 1 skipped: ")
 
 
 def test_factor_uses_cache(tmp_path):

@@ -17,8 +17,11 @@ from dynzsig.divisibility import (
     primitive_split,
     rigid_check,
     valuation,
+    valuation_table,
 )
 from dynzsig.heights import PlaceSet
+from dynzsig.ratfield import Polynomial
+from dynzsig.zsigmondy import FamilyFactor, FamilySpec, family_build, valuation_stability_check
 
 S_INF = PlaceSet()
 
@@ -117,6 +120,103 @@ def test_factor_deterministic_given_seed():
 def test_factor_rejects_zero():
     with pytest.raises(ValueError):
         factor(0)
+
+
+# Exact (factors, cofactor) of factor() as computed before its trial division
+# became a single chunked pass; together the rows reach every branch: trial
+# bounds below 1e4, prime remainders below trial_bound^2, Brent-rho splits and
+# exhausted campaigns, and leftovers over rho_digit_limit.
+P7A, P7B, P7C = 10000019, 30000023, 50000017
+P20A, P20B = 10000000000000000051, 30000000000000000041
+P40A, P40B = 10**39 + 81, 7 * 10**39 + 153
+P50 = 10**49 + 9
+PRIMES_10007_10193 = [q for q in range(10007, 10200) if is_probable_prime(q)]
+
+FACTOR_REGRESSIONS = {
+    "one": (1, {}, {}, 1),
+    "two": (2, {}, {2: 1}, 1),
+    "mersenne-prime": (2**61 - 1, {}, {2**61 - 1: 1}, 1),
+    "prime-rest-below-1e8": (2**3 * 10007, {}, {2: 3, 10007: 1}, 1),
+    "prime-rest-above-bound": (7 * 1000003, {}, {7: 1, 1000003: 1}, 1),
+    "prime-rest-above-1e8": (2 * 100000007, {}, {2: 1, 100000007: 1}, 1),
+    "bound-1000-prime-rest": (2 * 999983, {"trial_bound": 1000}, {2: 1, 999983: 1}, 1),
+    "prime-rest-over-digit-limit": (297467, {"rho_digit_limit": 5}, {297467: 1}, 1),
+    "bound-50-prime-rest-over-digit-limit": (
+        2251, {"trial_bound": 50, "rho_digit_limit": 3}, {2251: 1}, 1
+    ),
+    "bound-2": (12, {"trial_bound": 2}, {2: 2, 3: 1}, 1),
+    "bound-2-odd": (3 * 5 * 7 * 7, {"trial_bound": 2}, {3: 1, 5: 1, 7: 2}, 1),
+    "bound-3": (30030, {"trial_bound": 3}, {2: 1, 3: 1, 5: 1, 7: 1, 11: 1, 13: 1}, 1),
+    "bound-50-rho": (
+        2**5 * 3**2 * 53 * 59 * 61, {"trial_bound": 50}, {2: 5, 3: 2, 53: 1, 59: 1, 61: 1}, 1
+    ),
+    "bound-9000-rho": (2**10 * 9973 * 10007, {"trial_bound": 9000}, {2: 10, 9973: 1, 10007: 1}, 1),
+    "rho-square": (P7A**2 * P7B, {}, {P7A: 2, P7B: 1}, 1),
+    "rho-three-primes": (P7A * P7B * P7C, {}, {P7A: 1, P7B: 1, P7C: 1}, 1),
+    "rho-seed-2": (101 * P7A * P7B, {"seed": 2}, {101: 1, P7A: 1, P7B: 1}, 1),
+    "rho-exhausted": (P20A * P20B, {"rho_rounds": 50}, {}, P20A * P20B),
+    "rho-exhausted-small-primes": (
+        2**3 * 3 * P20A * P20B, {"rho_rounds": 50}, {2: 3, 3: 1}, P20A * P20B
+    ),
+    "rho-splits-then-exhausted": (P7A * P20A * P20B, {"rho_rounds": 20000}, {P7A: 1}, P20A * P20B),
+    "over-digit-limit-composite": (
+        2**4 * 1000003 * P40A * P40B, {"rho_digit_limit": 30}, {2: 4}, 1000003 * P40A * P40B
+    ),
+    "over-digit-limit-prime": (6 * P50, {"rho_digit_limit": 30}, {2: 1, 3: 1}, P50),
+    "over-digit-limit-trial-strips-all": (
+        3 * prod(PRIMES_10007_10193),
+        {"rho_digit_limit": 20},
+        {3: 1, **{q: 1 for q in PRIMES_10007_10193}},
+        1,
+    ),
+    "over-digit-limit-after-trial": (
+        10**60 + 1, {"rho_digit_limit": 40}, {73: 1, 137: 1}, (10**60 + 1) // (73 * 137)
+    ),
+    "300-digits": (
+        10**299 + 7,
+        {"rho_rounds": 2000},
+        {353: 1, 4397: 1, 267739: 1},
+        (10**299 + 7) // (353 * 4397 * 267739),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "n, budget, factors, cofactor", FACTOR_REGRESSIONS.values(), ids=FACTOR_REGRESSIONS.keys()
+)
+def test_factor_regression_table(n, budget, factors, cofactor):
+    fa = factor(n, FactorBudget(**budget))
+    assert (fa.factors, fa.cofactor) == (factors, cofactor)
+    assert list(fa.factors) == sorted(factors)
+
+
+def test_factor_lists_primes_certified_by_trial_division():
+    # trial division to 1e6 proves any remainder below 1e12 prime, however
+    # many digits rho_digit_limit allows; this one used to stay a cofactor
+    fa = factor(2 * 1000000007, FactorBudget(rho_digit_limit=5))
+    assert (fa.factors, fa.cofactor) == ({2: 1, 1000000007: 1}, 1)
+    # above 1e12 the remainder may be composite and stays untested
+    fa = factor(2 * 1000003 * 1000000007, FactorBudget(rho_digit_limit=5))
+    assert (fa.factors, fa.cofactor) == ({2: 1}, 1000003 * 1000000007)
+
+
+def test_factor_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(44)
+    tight = FactorBudget(trial_bound=50, rho_digit_limit=10, rho_rounds=500)
+    cases = [(rng.randrange(2, 10**20), FactorBudget()) for _ in range(60)]
+    cases += [
+        (rng.randrange(10**7, 10**8) * rng.randrange(10**7, 10**8), FactorBudget(rho_rounds=20))
+        for _ in range(60)
+    ]
+    cases += [(prod(rng.randrange(2, 10**8) for _ in range(3)), tight) for _ in range(60)]
+    for n, budget in cases:
+        fa = factor(n, budget)
+        expected = sympy.factorint(n)
+        for p, e in fa.factors.items():
+            assert expected.pop(p) == e, (n, p)
+        assert fa.cofactor == prod(p**e for p, e in expected.items()), n
+        assert all(p >= budget.trial_bound for p in expected), n
 
 
 # --- valuation ---------------------------------------------------------------
@@ -245,6 +345,50 @@ def test_rigid_check_ignores_places_in_s():
     # ord_2 jumps 1 -> 2, but 2 is inside S so it is not tested
     report = rigid_check([2, 4], PlaceSet.from_primes([2]))
     assert report.verified
+
+
+TIGHT = FactorBudget(trial_bound=100, rho_rounds=10, rho_digit_limit=10)
+
+
+def test_valuation_table_reads_valuations_inside_cofactors():
+    p, q, r, s = 1000003, 1000033, 1000037, 1000039
+    budget = FactorBudget(trial_bound=100, rho_digit_limit=15)
+    # rho splits p*q (13 digits); p*r*s has 19 digits and stays a cofactor
+    vals, untested = valuation_table([p * q, p * r * s], S_INF, budget)
+    assert vals == {p: [1, 1], q: [1, 0]}
+    assert untested == [p * r * s]
+    vals, _ = valuation_table([p * q, p * r * s], PlaceSet.from_primes([p]), budget)
+    assert vals == {q: [1, 0]}
+
+
+def test_rigid_check_cofactors_are_unchanged():
+    # the cofactor lists these checks reported before they shared valuation_table
+    terms = orbit_terms(1, 9)
+    report = rigid_check(terms, S_INF, TIGHT)
+    assert report.untested_primes == [
+        5123570461,
+        1697226451765622153377,
+        389454095383059289911940689098769786090558241,
+    ]
+    assert report.verified and report.checked_pairs == 36
+    budget = FactorBudget(trial_bound=1000, rho_rounds=100, rho_digit_limit=20)
+    report = rigid_check(terms, PlaceSet.from_primes([2, 5]), budget)
+    assert report.untested_primes == [
+        1697226451765622153377,
+        765135747314458329885934556186188184853749,
+    ]
+    assert report.verified
+
+
+def test_valuation_stability_cofactors_are_unchanged():
+    pair = FamilySpec((FamilyFactor(Polynomial.one(), 2, 2), FamilyFactor(Polynomial.one(), 3, 2)))
+    report = valuation_stability_check(family_build(pair), S_INF, 4, budget=TIGHT)
+    assert report.untested_cofactors == [
+        495630438292081,
+        133491624690711879623259393968605850076287909379211915649960252899933445729170712364546610013761,
+    ]
+    assert report.ranks == {2: 1, 3: 1, 7: 3, 11: 3, 13: 2, 19: 2, 67: 3}
+    assert report.failures == []
 
 
 # --- nonprimitive_bound_check -------------------------------------------------

@@ -1,0 +1,69 @@
+"""Property tests of budgeted factorization: whatever the budget, factor()
+reconstructs its input, lists only probable primes, leaves no prime below
+the trial bound in the cofactor, and calls itself complete exactly when the
+cofactor is 1.
+"""
+
+from functools import lru_cache
+from math import gcd, isqrt, prod
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from dynzsig.divisibility import (  # noqa: E402
+    FactorBudget,
+    decimal_digits,
+    factor,
+    is_probable_prime,
+)
+
+
+@lru_cache(maxsize=None)
+def primorial_below(bound: int) -> int:
+    """Product of the primes p < bound, by a plain sieve."""
+    alive = [True] * max(bound, 2)
+    alive[0] = alive[1] = False
+    for p in range(2, isqrt(bound) + 1):
+        if alive[p]:
+            alive[p * p :: p] = [False] * len(range(p * p, bound, p))
+    return prod(p for p in range(bound) if alive[p])
+
+
+budgets = st.builds(
+    FactorBudget,
+    trial_bound=st.sampled_from([2, 3, 50, 1000, 10_000, 1_000_000]),
+    rho_rounds=st.integers(1, 3000),
+    rho_digit_limit=st.integers(5, 40),
+    seed=st.integers(1, 5),
+)
+# products of a few factors of mixed sizes reach repeated primes, rho splits
+# and leftovers over the digit limit far more often than uniform integers do
+numbers = st.lists(
+    st.one_of(st.integers(1, 10**4), st.integers(1, 10**9), st.integers(1, 10**30)),
+    min_size=1,
+    max_size=5,
+).map(prod)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=numbers, budget=budgets)
+@example(n=12, budget=FactorBudget(trial_bound=2))
+@example(n=10000019**2 * 30000023, budget=FactorBudget(trial_bound=50))
+@example(n=6 * (10**49 + 9), budget=FactorBudget(rho_digit_limit=30))
+@example(n=10007 * 999983 * (10**49 + 9), budget=FactorBudget(rho_digit_limit=30))
+@example(n=2 * 999983, budget=FactorBudget(trial_bound=1000))
+@example(n=297467, budget=FactorBudget(rho_digit_limit=5))
+def test_factor_properties(n, budget):
+    fa = factor(n, budget)
+    assert fa.reconstruct() == n
+    assert all(is_probable_prime(p) and e >= 1 for p, e in fa.factors.items())
+    assert list(fa.factors) == sorted(fa.factors)
+    assert gcd(fa.cofactor, primorial_below(budget.trial_bound)) == 1
+    assert fa.complete == (fa.cofactor == 1)
+    # a cofactor within the digit limit is what rho failed on: never a prime
+    if fa.cofactor > 1 and decimal_digits(fa.cofactor) <= budget.rho_digit_limit:
+        assert not is_probable_prime(fa.cofactor)
