@@ -1,20 +1,22 @@
 """Command-line front end: polynomial expression parsing, subcommands,
 machine-readable reports, and the persistent factor cache.
 
-Reports are byte-stable for a fixed configuration: keys are sorted, reals
-are rendered to 12 significant digits, and arbitrary-precision integers are
-emitted as decimal strings so they survive any JSON consumer.
+`_COMMANDS` declares each subcommand once: its handler, its options and the
+options it requires.  `RunConfig` holds every common default, and `_run` sets
+every exit code.  Reports are byte-stable for a fixed configuration: keys are
+sorted, reals are rendered to 12 significant digits, and arbitrary-precision
+integers are emitted as decimal strings so they survive any JSON consumer.
 """
 
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import math
 import os
 import sys
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -154,13 +156,13 @@ class _Parser:
         self.take()
 
     def parse(self) -> ParsedPoly:
-        poly, factors = self._expr(top=True)
+        poly, factors = self._expr()
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
         return ParsedPoly(poly=poly, factored=factors, text=self.text)
 
-    def _expr(self, top: bool = False):
+    def _expr(self):
         sign = 1
         tok = self.peek()
         if tok is not None and tok[0] == "op" and tok[1] in "+-":
@@ -179,13 +181,12 @@ class _Parser:
             rhs, _ = self._term()
             poly = poly + rhs if tok[1] == "+" else poly - rhs
             n_terms += 1
-        if not top or n_terms > 1:
+        if n_terms > 1:
             factors = None
         return poly, factors
 
     def _term(self):
         poly, factors = self._factor()
-        collected = [factors] if factors else None
         while True:
             tok = self.peek()
             if tok is None or tok[0] != "op" or tok[1] != "*":
@@ -194,12 +195,8 @@ class _Parser:
             rhs, rfac = self._factor()
             _check_degree(poly.degree + rhs.degree, tok[2])
             poly = poly * rhs
-            if collected is not None and rfac:
-                collected.append(rfac)
-            else:
-                collected = None
-        flat = tuple(f for group in collected for f in group) if collected else None
-        return poly, flat
+            factors += rfac
+        return poly, factors
 
     def _factor(self):
         base = self._atom()
@@ -274,6 +271,10 @@ def parse_rational(text: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+# the trial-division sieve takes trial_bound bytes plus a list of the primes below it
+_MAX_TRIAL_BOUND = 10**7
+
+
 @dataclass(frozen=True)
 class RunConfig:
     trial_bound: int = 1_000_000
@@ -287,6 +288,8 @@ class RunConfig:
     def __post_init__(self):
         if min(self.trial_bound, self.rho_budget, self.digit_budget) <= 0:
             raise ValueError("budgets must be positive")
+        if self.trial_bound > _MAX_TRIAL_BOUND:
+            raise ValueError(f"trial bound {self.trial_bound} exceeds the cap {_MAX_TRIAL_BOUND}")
         if not (0.0 < self.tol < 1.0):
             raise ValueError("tolerance must be in (0, 1)")
         if self.fmt not in ("json", "csv", "text"):
@@ -303,7 +306,8 @@ class FactorCache:
 
     Complete entries are immutable; partial entries may be upgraded by a
     later store but never downgraded.  Corrupt lines are skipped with a
-    warning.  Writes take a sibling .lock file (single writer, many readers).
+    warning.  A writer holds an exclusive flock on the cache file while it
+    appends; readers take no lock.
     """
 
     def __init__(self, path: str):
@@ -361,22 +365,10 @@ class FactorCache:
             "factors": [[str(p), e] for p, e in sorted(fact.factors.items())],
             "complete": fact.complete,
         }
-        lock = self.path + ".lock"
-        deadline = time.monotonic() + 5.0
-        while True:
-            try:
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                break
-            except FileExistsError:
-                if time.monotonic() > deadline:
-                    raise RuntimeError(f"cache lock {lock} is stuck")
-                time.sleep(0.02)
-        try:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-        finally:
-            os.close(fd)
-            os.remove(lock)
+        # the kernel drops the lock when the file closes or the writer dies
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -523,24 +515,21 @@ def _build_orbit(args: dict, config: RunConfig):
 
 
 def _cmd_orbit(args: dict, config: RunConfig):
-    _require(args, "poly")
     seq = _build_orbit(args, config)
-    return EXIT_OK, _orbit_result(seq), _orbit_rows(seq), []
+    return _orbit_result(seq), _orbit_rows(seq), []
 
 
 def _cmd_zsigmondy(args: dict, config: RunConfig):
-    _require(args, "poly")
     seq = _build_orbit(args, config)
     result = _orbit_result(seq)
     result["zsigmondy_set"] = sorted(zsigmondy_set(seq, len(seq.records)))
     result["wandering_verdict"] = wandering_verdict(
         seq.phi, seq.alpha, probe=min(32, len(seq.records) + 8), tol=config.tol
     )
-    return EXIT_OK, result, _orbit_rows(seq), []
+    return result, _orbit_rows(seq), []
 
 
 def _cmd_rigid_check(args: dict, config: RunConfig):
-    _require(args, "poly")
     seq = _build_orbit(args, config)
     places = _place_set(args.get("places"))
     cache = _open_cache(config)
@@ -561,12 +550,10 @@ def _cmd_rigid_check(args: dict, config: RunConfig):
             for v in report.violations
         ],
     }
-    warnings = list(getattr(cache, "warnings", []))
-    return EXIT_OK, result, None, warnings
+    return result, None, cache.warnings if cache else []
 
 
 def _cmd_heights(args: dict, config: RunConfig):
-    _require(args, "poly", "alpha")
     parsed = parse_poly(args["poly"])
     value = parse_rational(args["alpha"])
     places = _place_set(args.get("places"))
@@ -596,11 +583,10 @@ def _cmd_heights(args: dict, config: RunConfig):
             str(v): _real(local_log_distance(point, inf_pt, v)) for v in places
         }
         result["local_sum"] = _real(sum_local_at_infinity(point, places))
-    return EXIT_OK, result, None, warnings
+    return result, None, warnings
 
 
 def _cmd_bound(args: dict, config: RunConfig):
-    _require(args, "d", "B", "hhat", "htilde", "gamma", "s_size")
     inputs = BoundInputs(
         d=int(args["d"]),
         h_reversed=float(args["htilde"]),
@@ -648,11 +634,10 @@ def _cmd_bound(args: dict, config: RunConfig):
                 warnings.append(f"close-approach comparison ambiguous at n={n}")
         result["close_approach"] = approaches
         result["orbit_hhat0"] = _estimate_dict(hhat0)
-    return EXIT_OK, result, None, warnings
+    return result, None, warnings
 
 
 def _cmd_powerful_check(args: dict, config: RunConfig):
-    _require(args, "poly")
     parsed = parse_poly(args["poly"])
     if parsed.poly.degree < 1:
         raise HypothesisViolated("constant polynomial", "need degree >= 1")
@@ -670,7 +655,7 @@ def _cmd_powerful_check(args: dict, config: RunConfig):
         ],
         "place_set": [str(p) for p in places],
     }
-    return EXIT_OK, result, None, []
+    return result, None, []
 
 
 def _family_from_parsed(parsed: ParsedPoly) -> FamilySpec:
@@ -695,7 +680,6 @@ def _family_from_parsed(parsed: ParsedPoly) -> FamilySpec:
 
 
 def _cmd_family_check(args: dict, config: RunConfig):
-    _require(args, "factors")
     parsed = parse_poly(args["factors"])
     spec = _family_from_parsed(parsed)
     phi = family_build(spec)
@@ -723,7 +707,7 @@ def _cmd_family_check(args: dict, config: RunConfig):
         }
         places = denominator_place_set([f.base() for f in spec.factors])
         cache = _open_cache(config)
-        warnings.extend(getattr(cache, "warnings", []))
+        warnings.extend(cache.warnings if cache else [])
         stability = valuation_stability_check(
             phi,
             places,
@@ -749,17 +733,26 @@ def _cmd_family_check(args: dict, config: RunConfig):
             "untested_cofactors": [str(c) for c in stability.untested_cofactors],
         }
         result["place_set"] = [str(p) for p in places]
-    return EXIT_OK, result, None, warnings
+    return result, None, warnings
 
 
+_ORBIT_OPTIONS = ("--poly", "--alpha", "--n")
+_BOUND_OPTIONS = ("--d", "--B", "--hhat", "--htilde", "--gamma", "--s-size")
+_INT_OPTIONS = ("--n", "--d", "--s-size")
+
+# name -> (handler, options, required); a required name is an option's dest
 _COMMANDS = {
-    "orbit": _cmd_orbit,
-    "zsigmondy": _cmd_zsigmondy,
-    "rigid-check": _cmd_rigid_check,
-    "heights": _cmd_heights,
-    "bound": _cmd_bound,
-    "powerful-check": _cmd_powerful_check,
-    "family-check": _cmd_family_check,
+    "orbit": (_cmd_orbit, _ORBIT_OPTIONS, ("poly",)),
+    "zsigmondy": (_cmd_zsigmondy, _ORBIT_OPTIONS, ("poly",)),
+    "rigid-check": (_cmd_rigid_check, _ORBIT_OPTIONS + ("--places",), ("poly",)),
+    "heights": (_cmd_heights, ("--poly", "--alpha", "--places"), ("poly", "alpha")),
+    "bound": (
+        _cmd_bound,
+        _ORBIT_OPTIONS + ("--places",) + _BOUND_OPTIONS,
+        ("d", "B", "hhat", "htilde", "gamma", "s_size"),
+    ),
+    "powerful-check": (_cmd_powerful_check, ("--poly",), ("poly",)),
+    "family-check": (_cmd_family_check, ("--factors", "--n"), ("factors",)),
 }
 
 
@@ -789,13 +782,15 @@ def run_subcommand(name: str, args: dict, config: RunConfig):
 
 
 def _run(name: str, args: dict, config: RunConfig):
+    handler, _, required = _COMMANDS[name]
     code = EXIT_OK
     rows = None
     warnings: list[str] = []
     diagnostics = ""
     try:
-        code, result, rows, warnings = _COMMANDS[name](args, config)
-    except (ParseError, ValueError) as exc:
+        _require(args, *required)
+        result, rows, warnings = handler(args, config)
+    except (ParseError, ValueError, OSError) as exc:
         result = {"error": str(exc)}
         code = EXIT_USAGE
         diagnostics = f"error: {exc}"
@@ -805,7 +800,7 @@ def _run(name: str, args: dict, config: RunConfig):
         diagnostics = f"hypothesis violated: {exc.reason}"
     except PreperiodicPoint as exc:
         result = {"error": str(exc), "reason": "preperiodic point"}
-        if exc.partial is not None and isinstance(exc.partial, OrbitSequence):
+        if isinstance(exc.partial, OrbitSequence):
             result["partial"] = _orbit_result(exc.partial)
         code = EXIT_HYPOTHESIS
         diagnostics = f"hypothesis violated: {exc}"
@@ -826,11 +821,7 @@ def _run(name: str, args: dict, config: RunConfig):
     if config.fmt == "csv":
         if rows is None:
             if code == EXIT_OK:
-                return (
-                    EXIT_USAGE,
-                    "",
-                    "error: csv output is only available for orbit tables",
-                )
+                return EXIT_USAGE, "", "error: csv output is only available for orbit tables"
             return code, "", diagnostics  # the failure, not the format, is the story
         return code, _render_csv(rows), diagnostics
     if config.fmt == "text":
@@ -844,71 +835,38 @@ def _run(name: str, args: dict, config: RunConfig):
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
+    # no defaults here: main() passes RunConfig only the options that were set
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-6)
-    common.add_argument("--trial-bound", type=int, default=1_000_000, dest="trial_bound")
-    common.add_argument("--rho-budget", type=int, default=200_000, dest="rho_budget")
-    common.add_argument("--digit-budget", type=int, default=100_000, dest="digit_budget")
-    common.add_argument("--seed", type=int, default=1)
-    common.add_argument("--cache", default=None)
-    common.add_argument("--format", default="json", choices=("json", "csv", "text"))
+    common.add_argument("--tol", type=float)
+    common.add_argument("--trial-bound", type=int)
+    common.add_argument("--rho-budget", type=int)
+    common.add_argument("--digit-budget", type=int)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--cache", dest="cache_path")
+    common.add_argument("--format", dest="fmt", choices=("json", "csv", "text"))
 
     parser = argparse.ArgumentParser(
         prog="dynzsig",
         description="Dynamical divisibility sequences, primitive divisors, and Zsigmondy sets over Q.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, *, poly=False, alpha=False, n=False, places=False, factors=False, bound=False):
+    for name, (_, options, _) in _COMMANDS.items():
         sp = sub.add_parser(name, parents=[common])
-        if poly:
-            sp.add_argument("--poly")
-        if alpha:
-            sp.add_argument("--alpha")
-        if n:
-            sp.add_argument("--n", type=int)
-        if places:
-            sp.add_argument("--places")
-        if factors:
-            sp.add_argument("--factors")
-        if bound:
-            sp.add_argument("--d", type=int)
-            sp.add_argument("--B", dest="B")
-            sp.add_argument("--hhat")
-            sp.add_argument("--htilde")
-            sp.add_argument("--gamma")
-            sp.add_argument("--s-size", type=int, dest="s_size")
-        return sp
-
-    add("orbit", poly=True, alpha=True, n=True)
-    add("zsigmondy", poly=True, alpha=True, n=True)
-    add("rigid-check", poly=True, alpha=True, n=True, places=True)
-    add("heights", poly=True, alpha=True, places=True)
-    add("bound", poly=True, alpha=True, n=True, places=True, bound=True)
-    add("powerful-check", poly=True)
-    add("family-check", factors=True, n=True)
+        for option in options:
+            sp.add_argument(option, type=int if option in _INT_OPTIONS else None)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_arg_parser()
-    ns = parser.parse_args(argv)
-    args = vars(ns)
-    cache_path = args.get("cache") or os.environ.get(CACHE_ENV_VAR) or None
+    args = vars(_build_arg_parser().parse_args(argv))
+    args["cache_path"] = args["cache_path"] or os.environ.get(CACHE_ENV_VAR) or None
+    given = {f.name: args[f.name] for f in fields(RunConfig) if args[f.name] is not None}
     try:
-        config = RunConfig(
-            trial_bound=args["trial_bound"],
-            rho_budget=args["rho_budget"],
-            digit_budget=args["digit_budget"],
-            tol=args["tol"],
-            seed=args["seed"],
-            cache_path=cache_path,
-            fmt=args["format"],
-        )
+        config = RunConfig(**given)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    code, report, diagnostics = run_subcommand(ns.command, args, config)
+    code, report, diagnostics = run_subcommand(args["command"], args, config)
     if report:
         sys.stdout.write(report)
     if diagnostics:

@@ -1,6 +1,8 @@
+import fcntl
 import json
 import random
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -118,6 +120,12 @@ def test_run_config_validation():
         RunConfig(digit_budget=0)
     with pytest.raises(ValueError):
         RunConfig(fmt="yaml")
+
+
+def test_trial_bound_cap():
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        RunConfig(trial_bound=10**7 + 1)
+    assert RunConfig(trial_bound=10**7).trial_bound == 10**7
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -441,6 +449,44 @@ def test_corrupt_cache_lines_are_reported(tmp_path, command, args):
     assert len(warnings) == 1 and warnings[0].startswith("cache line 1 skipped: ")
 
 
+def test_leftover_lock_file_does_not_delay_a_store(tmp_path):
+    path = tmp_path / "factors.jsonl"
+    (tmp_path / "factors.jsonl.lock").write_text("")
+    start = time.perf_counter()
+    FactorCache(str(path)).store(458330, factor(458330))
+    assert time.perf_counter() - start < 1.0
+    assert FactorCache(str(path)).get(458330).factors == {2: 1, 5: 1, 45833: 1}
+
+
+def test_store_waits_for_the_file_lock(tmp_path):
+    path = tmp_path / "factors.jsonl"
+    path.write_text("")
+    cache = FactorCache(str(path))
+    with open(path, "a") as holder:
+        fcntl.flock(holder, fcntl.LOCK_EX)
+        writer = threading.Thread(target=cache.store, args=(458330, factor(458330)))
+        writer.start()
+        writer.join(0.3)
+        assert writer.is_alive()
+        assert path.read_text() == ""
+        fcntl.flock(holder, fcntl.LOCK_UN)
+        writer.join(5.0)
+    assert not writer.is_alive()
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1
+    reread = FactorCache(str(path))
+    assert reread.warnings == [] and reread.get(458330).complete
+
+
+@pytest.mark.parametrize("where", ["missing/factors.jsonl", "."])
+def test_bad_cache_path_is_a_usage_error(tmp_path, where):
+    path = str(tmp_path / where)
+    code, report, diag = run("rigid-check", RunConfig(cache_path=path), poly="z^2+1", n=4)
+    assert code == 2
+    assert json.loads(report)["result"]["error"] == diag[len("error: "):]
+    assert path in diag
+
+
 def test_factor_uses_cache(tmp_path):
     path = str(tmp_path / "factors.jsonl")
     cache = FactorCache(path)
@@ -458,6 +504,14 @@ def test_main_writes_report(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert '"zsigmondy_set"' in captured.out
+
+
+def test_main_rejects_trial_bound_over_the_cap(capsys):
+    code = main(["orbit", "--poly", "z^2+1", "--n", "2", "--trial-bound", str(10**7 + 1)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: trial bound 10000001 exceeds the cap 10000000\n"
 
 
 def test_main_env_cache(tmp_path, monkeypatch, capsys):
