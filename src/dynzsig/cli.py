@@ -6,12 +6,20 @@ options it requires.  `RunConfig` holds every common default, and `_run` sets
 every exit code.  Reports are byte-stable for a fixed configuration: keys are
 sorted, reals are rendered to 12 significant digits, and arbitrary-precision
 integers are emitted as decimal strings so they survive any JSON consumer.
+
+An orbit report is built once, in the requested format: CSV rows carry digit
+counts only, so no term is converted to decimal for them.  For json and text
+each big integer is converted once, by `_decimal_str`, which splits integers
+above about 10,000 digits by powers of two and joins the halves with the
+`decimal` module's fast multiply, where `str(int)` takes quadratic time.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import fcntl
+import functools
 import json
 import math
 import os
@@ -86,10 +94,12 @@ class ExponentError(ParseError):
 _OPS = set("+-*^()/")
 
 # dense-polynomial expansion cost is quadratic in the degree: cap the exponent
-# literal against a stray typo, and the degree of every power and product
-# before it is expanded, since nested powers multiply their exponents
+# literal against a stray typo, and the degree and coefficient size of every
+# power and product before it is expanded, since nested powers multiply their
+# exponents
 _MAX_EXPONENT = 4096
 _MAX_DEGREE = 256
+_MAX_COEFF_BITS = 8192
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -120,6 +130,23 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 def _check_degree(degree: int, position: int):
     if degree > _MAX_DEGREE:
         raise ParseError(f"degree {degree} exceeds the cap {_MAX_DEGREE}", position)
+
+
+def _coeff_bits(poly: Polynomial) -> float:
+    """log2(D * ||D * poly||_1) for the common denominator D: a bound on the
+    numerator plus denominator bits of every coefficient.  Both factors are
+    submultiplicative, so a product's bound is at most the sum of its
+    factors' and a power's at most the exponent times its base's."""
+    den = math.lcm(*(c.denominator for c in poly.coeffs))
+    norm = sum(abs(c.numerator) * (den // c.denominator) for c in poly.coeffs)
+    return math.log2(den) + math.log2(max(norm, 1))
+
+
+def _check_coeff_bits(bits: float, position: int):
+    if bits > _MAX_COEFF_BITS:
+        raise ParseError(
+            f"coefficients of about {math.ceil(bits)} bits exceed the cap {_MAX_COEFF_BITS}", position
+        )
 
 
 @dataclass(frozen=True)
@@ -194,6 +221,7 @@ class _Parser:
             self.take()
             rhs, rfac = self._factor()
             _check_degree(poly.degree + rhs.degree, tok[2])
+            _check_coeff_bits(_coeff_bits(poly) + _coeff_bits(rhs), tok[2])
             poly = poly * rhs
             factors += rfac
         return poly, factors
@@ -217,6 +245,7 @@ class _Parser:
             if exponent > _MAX_EXPONENT:
                 raise ParseError(f"exponent {exponent} exceeds the cap {_MAX_EXPONENT}", nxt[2])
             _check_degree(base.degree * exponent, nxt[2])
+            _check_coeff_bits(_coeff_bits(base) * exponent, nxt[2])
             return base ** exponent, ((base, exponent),)
         return base, ((base, 1),)
 
@@ -382,12 +411,39 @@ def _real(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _ratio(num: int, den: int) -> str:
-    return str(num) if den == 1 else f"{num}/{den}"
+# str(int) takes quadratic time before Python 3.12; above _STR_BITS (about
+# 10,000 digits, the crossover measured on 3.11) _decimal_str splits by powers
+# of two down to _LEAF_BITS and joins the halves with libmpdec's multiply
+_STR_BITS = 1 << 15
+_LEAF_BITS = 4096
 
 
-def _frac(x: Fraction) -> str:
-    return _ratio(x.numerator, x.denominator)
+def _decimal_str(n: int) -> str:
+    """str(n), in subquadratic time for big n."""
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    D = decimal.Decimal
+    powers: dict[int, decimal.Decimal] = {}
+
+    def pow2(w: int) -> decimal.Decimal:
+        if w not in powers:
+            powers[w] = D(1 << w) if w <= _LEAF_BITS else pow2(w >> 1) * pow2(w - (w >> 1))
+        return powers[w]
+
+    def join(m: int, w: int) -> decimal.Decimal:
+        # m < 2**w
+        if w <= _LEAF_BITS:
+            return D(m)
+        half = w >> 1
+        hi = m >> half
+        return join(m - (hi << half), half) + join(hi, w - half) * pow2(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        digits = str(join(abs(n), n.bit_length()))
+    return "-" + digits if n < 0 else digits
 
 
 def _estimate_dict(est: HeightEstimate) -> dict:
@@ -458,27 +514,38 @@ def _orbit_rows(seq: OrbitSequence) -> list[tuple]:
     ]
 
 
-def _orbit_result(seq: OrbitSequence, include_values: bool = True) -> dict:
+def _orbit_result(seq: OrbitSequence) -> dict:
     records = []
     for rec in seq.records:
-        entry = {
-            "n": rec.n,
-            "numerator_ideal": str(rec.ideal.A),
-            "denominator_ideal": str(rec.ideal.B),
-            "primitive_part": str(rec.split.primitive_part),
-            "nonprimitive_part": str(rec.split.nonprimitive_part),
-            "has_primitive_divisor": rec.primitive,
-        }
-        if include_values:
-            entry["value"] = _ratio(rec.sign * rec.ideal.A, rec.ideal.B)
-        records.append(entry)
+        a, b = _decimal_str(rec.ideal.A), _decimal_str(rec.ideal.B)
+        # as str(rec.value), without converting A and B again
+        value = ("-" if rec.sign < 0 else "") + (a if b == "1" else f"{a}/{b}")
+        records.append(
+            {
+                "n": rec.n,
+                "numerator_ideal": a,
+                "denominator_ideal": b,
+                "primitive_part": _decimal_str(rec.split.primitive_part),
+                "nonprimitive_part": _decimal_str(rec.split.nonprimitive_part),
+                "has_primitive_divisor": rec.primitive,
+                "value": value,
+            }
+        )
     return {
         "poly": str(seq.phi),
-        "alpha": _frac(seq.alpha),
+        "alpha": str(seq.alpha),
         "centered": str(seq.centered),
         "computed_n": len(seq.records),
         "records": records,
     }
+
+
+def _orbit_output(seq: OrbitSequence, fmt: str) -> tuple[Optional[dict], Optional[list[tuple]]]:
+    """(result, rows) of an orbit report: the CSV rows, or the result dict
+    for json and text; the form the format does not print is not built."""
+    if fmt == "csv":
+        return None, _orbit_rows(seq)
+    return _orbit_result(seq), None
 
 
 # ---------------------------------------------------------------------------
@@ -516,17 +583,21 @@ def _build_orbit(args: dict, config: RunConfig):
 
 def _cmd_orbit(args: dict, config: RunConfig):
     seq = _build_orbit(args, config)
-    return _orbit_result(seq), _orbit_rows(seq), []
+    return (*_orbit_output(seq, config.fmt), [])
 
 
 def _cmd_zsigmondy(args: dict, config: RunConfig):
     seq = _build_orbit(args, config)
-    result = _orbit_result(seq)
-    result["zsigmondy_set"] = sorted(zsigmondy_set(seq, len(seq.records)))
-    result["wandering_verdict"] = wandering_verdict(
+    # computed for every format: either may raise, and sets the exit code
+    zset = sorted(zsigmondy_set(seq, len(seq.records)))
+    verdict = wandering_verdict(
         seq.phi, seq.alpha, probe=min(32, len(seq.records) + 8), tol=config.tol
     )
-    return result, _orbit_rows(seq), []
+    result, rows = _orbit_output(seq, config.fmt)
+    if result is not None:
+        result["zsigmondy_set"] = zset
+        result["wandering_verdict"] = verdict
+    return result, rows, []
 
 
 def _cmd_rigid_check(args: dict, config: RunConfig):
@@ -535,11 +606,11 @@ def _cmd_rigid_check(args: dict, config: RunConfig):
     cache = _open_cache(config)
     report = rigid_check(seq.terms(), places, config.factor_budget(), cache)
     result = {
-        "terms": [str(t) for t in seq.terms()],
+        "terms": [_decimal_str(t) for t in seq.terms()],
         "places": [str(p) for p in places],
         "verified": report.verified,
         "checked_pairs": report.checked_pairs,
-        "untested_cofactors": [str(c) for c in report.untested_primes],
+        "untested_cofactors": [_decimal_str(c) for c in report.untested_primes],
         "violations": [
             {
                 "condition": v.condition,
@@ -564,7 +635,7 @@ def _cmd_heights(args: dict, config: RunConfig):
     )
     result = {
         "poly": str(parsed.poly),
-        "point": _frac(value),
+        "point": str(value),
         "weil_height": _real(weil_height(point)),
         "map_height": _real(map_height(parsed.poly)),
         "reversed_map_height": _real(map_height(reverse_map(parsed.poly))),
@@ -701,9 +772,9 @@ def _cmd_family_check(args: dict, config: RunConfig):
             "passed": growth.passed,
             "square_growth_ok": growth.square_growth_ok,
             "exponent_floor_ok": growth.exponent_floor_ok,
-            "first_term": str(growth.first_term),
+            "first_term": _decimal_str(growth.first_term),
             "orbit_digits": growth.orbit_digits,
-            "exponent_floors": [_frac(f) for f in growth.exponent_floors],
+            "exponent_floors": [str(f) for f in growth.exponent_floors],
         }
         places = denominator_place_set([f.base() for f in spec.factors])
         cache = _open_cache(config)
@@ -730,7 +801,7 @@ def _cmd_family_check(args: dict, config: RunConfig):
                 }
                 for f in stability.failures
             ],
-            "untested_cofactors": [str(c) for c in stability.untested_cofactors],
+            "untested_cofactors": [_decimal_str(c) for c in stability.untested_cofactors],
         }
         result["place_set"] = [str(p) for p in places]
     return result, None, warnings
@@ -807,23 +878,22 @@ def _run(name: str, args: dict, config: RunConfig):
     except DigitBudgetExceeded as exc:
         result = {"error": str(exc), "reason": "digit budget exceeded"}
         if isinstance(exc.partial, OrbitSequence):
-            result["partial"] = _orbit_result(exc.partial)
-            rows = _orbit_rows(exc.partial)
+            result["partial"], rows = _orbit_output(exc.partial, config.fmt)
         code = EXIT_BUDGET
         diagnostics = f"budget exhausted: {exc}"
 
-    report = {
-        "command": name,
-        "config": _config_dict(config),
-        "result": result,
-        "warnings": warnings,
-    }
     if config.fmt == "csv":
         if rows is None:
             if code == EXIT_OK:
                 return EXIT_USAGE, "", "error: csv output is only available for orbit tables"
             return code, "", diagnostics  # the failure, not the format, is the story
         return code, _render_csv(rows), diagnostics
+    report = {
+        "command": name,
+        "config": _config_dict(config),
+        "result": result,
+        "warnings": warnings,
+    }
     if config.fmt == "text":
         return code, _render_text(report), diagnostics
     return code, _render_json(report), diagnostics
@@ -834,9 +904,12 @@ def _run(name: str, args: dict, config: RunConfig):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_arg_parser() -> argparse.ArgumentParser:
-    # no defaults here: main() passes RunConfig only the options that were set
-    common = argparse.ArgumentParser(add_help=False)
+    # built once per process; no defaults here: main() passes RunConfig only
+    # the options that were set.  allow_abbrev=False: a prefix such as --d
+    # must not stand for --digit-budget
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--tol", type=float)
     common.add_argument("--trial-bound", type=int)
     common.add_argument("--rho-budget", type=int)
@@ -848,10 +921,11 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dynzsig",
         description="Dynamical divisibility sequences, primitive divisors, and Zsigmondy sets over Q.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, options, _) in _COMMANDS.items():
-        sp = sub.add_parser(name, parents=[common])
+        sp = sub.add_parser(name, parents=[common], allow_abbrev=False)
         for option in options:
             sp.add_argument(option, type=int if option in _INT_OPTIONS else None)
     return parser

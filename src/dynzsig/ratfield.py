@@ -145,8 +145,9 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # the last square would go unused
+                base = base * base
         return result
 
     def __call__(self, x: Coefficient) -> Fraction:

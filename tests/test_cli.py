@@ -314,7 +314,15 @@ def test_exponent_literal_cap_is_checked_before_the_degree():
 
 
 @pytest.mark.parametrize(
-    "text", ["((z+1)^64)^64", "(z+1)^4096", "(z^2+1)^200", "(z+1)^200*(z+2)^100", "z^200*z^57"]
+    "text",
+    [
+        "((z+1)^64)^64",
+        "(z+1)^4096",
+        "(z^2+1)^200",
+        "(z+1)^200*(z+2)^100",
+        "z^200*z^57",
+        "(100000000000000000000*z+1)^300",  # the degree is checked before the coefficients
+    ],
 )
 def test_degree_cap_fails_fast(text):
     start = time.perf_counter()
@@ -327,6 +335,29 @@ def test_degree_cap_fails_fast(text):
 def test_degree_cap_admits_its_bound():
     assert parse_poly("((z+1)^16)^16").poly.degree == 256
     assert parse_poly("z^200*z^56").poly.degree == 256
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(100000000000000000000*z+1)^256",
+        "((100000000000000000000*z+1)^16)^16",
+        "(100000000000000000000*z+1)^128*(100000000000000000000*z+1)^128",
+        "(z+1/100000000000000000000)^256",
+        "(4294967296*z+1)^256",
+    ],
+)
+def test_coefficient_cap_fails_fast(text):
+    start = time.perf_counter()
+    code, report, _ = run("powerful-check", poly=text)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "exceed the cap 8192" in json.loads(report)["result"]["error"]
+
+
+def test_coefficient_cap_admits_its_bound():
+    # log2(2^32) * 256 is exactly the cap
+    assert parse_poly("(4294967295*z+1)^256").poly.coefficient(256) == 4294967295**256
 
 
 def test_every_benchmark_polynomial_parses(monkeypatch):

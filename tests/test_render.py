@@ -1,0 +1,118 @@
+"""Report rendering: the big-integer decimal converter, and orbit reports that
+are built once in the requested format and stay byte-identical."""
+
+import hashlib
+import random
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from dynzsig import cli  # noqa: E402
+from dynzsig.cli import RunConfig, run_subcommand  # noqa: E402
+
+# ---------------------------------------------------------------------------
+# The converter
+# ---------------------------------------------------------------------------
+
+# powers of ten whose digit count lies around the str() threshold
+_K_NEAR_THRESHOLD = st.integers(int(cli._STR_BITS * 0.30103) - 60, int(cli._STR_BITS * 0.30103) + 60)
+
+
+@given(k=_K_NEAR_THRESHOLD, offset=st.sampled_from((0, -1)), negative=st.booleans())
+@example(k=0, offset=-1, negative=False)  # 0
+@example(k=0, offset=0, negative=False)  # 1
+@example(k=0, offset=0, negative=True)  # -1
+@settings(max_examples=60, deadline=None)
+def test_decimal_str_matches_str_near_the_threshold(k, offset, negative):
+    n = 10**k + offset
+    n = -n if negative else n
+    assert cli._decimal_str(n) == str(n)
+
+
+@pytest.mark.parametrize("bits", [cli._STR_BITS, cli._STR_BITS + 1, 2 * cli._STR_BITS + 1])
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_decimal_str_matches_str_at_powers_of_two(bits, delta):
+    n = 2**bits + delta
+    assert cli._decimal_str(n) == str(n)
+    assert cli._decimal_str(-n) == str(-n)
+
+
+@given(bits=st.integers(0, 332_193), seed=st.integers(0, 2**32), negative=st.booleans())
+@example(bits=332_193, seed=1, negative=True)  # 1e5 digits
+@settings(max_examples=30, deadline=None)
+def test_decimal_str_matches_str_on_random_values(bits, seed, negative):
+    n = random.Random(seed).getrandbits(bits)
+    n = -n if negative else n
+    assert cli._decimal_str(n) == str(n)
+
+
+# ---------------------------------------------------------------------------
+# Orbit reports
+# ---------------------------------------------------------------------------
+
+# sha256 of each report, as printed by the commit before the converter: the
+# terms exceed the converter's threshold, z^2-7/4 at 1/3 has negative rational
+# values, and the digit budget of 20,000 stops z^2+1 with a partial orbit
+PINNED = [
+    ("zsigmondy", dict(poly="z^2+1", n=18), {}, {
+        "json": "3f959bee5f56dfa8ac5b2bbd18ff0e0ca4cc182d4af865a2cf4a4dd17db6c1a6",
+        "text": "9e7fe62d247da932f7fdff1e78e6269615d33e2ed02403dff5c0d9170b1d53c2",
+        "csv": "3773f718b5790b1e79c5d550d4be906481720886c790d5769cee92d2077105d8",
+    }),
+    ("orbit", dict(poly="z^3+1/2", alpha="1/3", n=10), {}, {
+        "json": "c8d21db1a203b5b459372c0f80f3d0459aeef6253bd596219d974a1262872292",
+        "text": "cf9136f286283b1f9702cc77bc3152eb90fb7ae7c2b72c39186879f73099aedf",
+        "csv": "9adfb134f6df2630fc6b6f7fd7cab5ee8b3a041b60b884f49b69ff94fa55d28c",
+    }),
+    ("orbit", dict(poly="z^2-7/4", alpha="1/3", n=14), {}, {
+        "json": "1a25cd4c39859e7d83e0db37fca2633fd85825a39b24bbe5d62ed18730673fae",
+        "text": "bb4ed36ca7d6d84474306afec371ad8feb24ec677e5baf943bfb994115fa0613",
+        "csv": "4c5ec331e36aa74c689939b4d6f0f8dccac83dd871e38af87f0b0baf2449f359",
+    }),
+    ("orbit", dict(poly="z^2+1", n=30), {"digit_budget": 20_000}, {
+        "json": "223257698b61b580ff91976b5685e7171f31d2524ecc698e5889c2bfe71bf456",
+        "text": "881587487b65bd579d6f7585c43832dd153396f3a07b84c4ba3f0f98030fd20b",
+        "csv": "e27b6db1f0914c56825af7c026f53f2eb275ca62cffc46e8c22a347c50fe568e",
+    }),
+    ("zsigmondy", dict(poly="z^2+1", n=30), {"digit_budget": 20_000}, {
+        "json": "40fc83eaab86736f735e0c706d200d76a47185eece8224bfb3a49b0451f23078",
+        "csv": "e27b6db1f0914c56825af7c026f53f2eb275ca62cffc46e8c22a347c50fe568e",
+    }),
+]
+
+
+@pytest.mark.parametrize(
+    "command, args, config, fmt, digest",
+    [(c, a, k, fmt, d) for c, a, k, digests in PINNED for fmt, d in digests.items()],
+)
+def test_orbit_reports_match_pinned_digests(command, args, config, fmt, digest):
+    code, report, _ = run_subcommand(command, dict(args), RunConfig(fmt=fmt, **config))
+    assert code == (3 if config else 0)
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+def test_negative_values_keep_their_sign():
+    code, report, _ = run_subcommand("orbit", dict(poly="z^2-3", n=3), RunConfig(fmt="text"))
+    assert code == 0
+    assert "result.records.0.value: -3\n" in report
+    assert "result.records.1.value: 6\n" in report
+    args = dict(poly="z^2-7/4", alpha="1/3", n=1)
+    code, report, _ = run_subcommand("orbit", args, RunConfig(fmt="text"))
+    assert "result.records.0.value: -71/36\n" in report
+
+
+@pytest.mark.parametrize("command", ["orbit", "zsigmondy"])
+@pytest.mark.parametrize("config", [{}, {"digit_budget": 20_000}])
+def test_csv_reports_render_no_decimal_strings(command, config, monkeypatch):
+    def refuse(n):
+        raise AssertionError("a CSV report converted an integer to decimal")
+
+    monkeypatch.setattr(cli, "_decimal_str", refuse)
+    args = dict(poly="z^2+1", n=30 if config else 18)
+    code, report, _ = run_subcommand(command, args, RunConfig(fmt="csv", **config))
+    assert code == (3 if config else 0)
+    assert report.startswith("n,value_digits,A_digits,primitive,P_digits,N_digits\n")
