@@ -504,8 +504,8 @@ def _orbit_rows(seq: OrbitSequence) -> list[tuple]:
     return [
         (
             rec.n,
-            decimal_digits(max(rec.ideal.A, rec.ideal.B)),
-            decimal_digits(rec.ideal.A),
+            max(a_digits := decimal_digits(rec.ideal.A), decimal_digits(rec.ideal.B)),
+            a_digits,
             int(rec.primitive),
             decimal_digits(rec.split.primitive_part),
             decimal_digits(rec.split.nonprimitive_part),

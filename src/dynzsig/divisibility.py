@@ -117,12 +117,16 @@ def decimal_digits(n: int) -> int:
     n = abs(n)
     if n == 0:
         return 1
-    approx = int(n.bit_length() * 0.30102999566398120) + 1
-    while 10 ** (approx - 1) > n:
-        approx -= 1
-    while 10**approx <= n:
-        approx += 1
-    return approx
+    # the estimate is the count or one more; only the first power is built by pow
+    digits = int(n.bit_length() * 0.30102999566398120) + 1
+    power = 10 ** (digits - 1)
+    while power > n:
+        power //= 10
+        digits -= 1
+    while power * 10 <= n:
+        power *= 10
+        digits += 1
+    return digits
 
 
 def _brent_rho(n: int, rounds: int, seed: int) -> int:
@@ -250,6 +254,16 @@ class IdealPair:
             raise ValueError("require A >= 0 and B >= 1")
         if gcd(self.A, self.B) != 1:
             raise ValueError("A and B must be coprime")
+
+    @classmethod
+    def coprime(cls, A: int, B: int) -> "IdealPair":
+        """The pair (A, B) without the constructor's checks, for callers that
+        already hold a coprime pair with A >= 0 and B >= 1 (such as the orbit
+        engine's values); the checks' gcd is as costly as the terms are long."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "A", A)
+        object.__setattr__(pair, "B", B)
+        return pair
 
 
 def valuation(n: int, p: int) -> int:

@@ -4,7 +4,11 @@ its exceptional-index enumerations, and the powerful-polynomial machinery.
 Sequences are built by exact iteration of the centered map (the input map
 conjugated so the starting point sits at 0); primitive parts come from
 gcd-stripping, so no factorization is ever needed to decide membership in
-the Zsigmondy set.
+the Zsigmondy set.  By the rank of apparition (Rice, Integers 7 (2007);
+Ingram-Silverman, Math. Proc. Camb. Phil. Soc. 146 (2009)), A_n is stripped
+only against A_(n/q) for the primes q | n, plus bad for the primes of the
+denominator lcm L of the centered map, where that argument fails; see
+build_sequence.
 
 Every orbit here runs on one engine, ratfield.IntegerModel, with its budget
 and preperiodicity checks: phi = F(X, Y) / (L Y^d) on coprime pairs (a, b),
@@ -110,6 +114,15 @@ def build_sequence(
 ) -> OrbitSequence:
     """Populate records 1..N by exact iteration of the centered map at 0.
 
+    Each term A_n is split against A_(n/q) for the primes q | n and against
+    bad, the part of L = IntegerModel(centered).scale whose primes divided an
+    earlier term.  That is the split against all earlier terms: a prime
+    p not dividing L divides A_m iff its rank of apparition r_p divides m, so
+    if it divides A_n and an earlier A_m it divides A_(gcd(m, n)), and
+    gcd(m, n) is a proper divisor of n, hence divides some n/q.  Primes of L
+    escape that argument (phi = z^2/2 + z/2 + 1 at 0 gives 1, 2, 4, and
+    A_3 = 4 is non-primitive only through A_2), and bad catches them.
+
     Raises PreperiodicPoint if an orbit value returns to 0 or repeats, and
     DigitBudgetExceeded (carrying the partial sequence) if a value outgrows
     the budget.
@@ -121,14 +134,28 @@ def build_sequence(
     alpha = as_rational(alpha)
     centered = conjugate(phi, alpha)
     seq = OrbitSequence(phi=phi, alpha=alpha, centered=centered, records=[])
-    history: list[int] = []
-    orbit = IntegerModel(centered).orbit(0, N, digit_budget, track=True, partial=seq)
-    for n, (a, b) in enumerate(orbit, 1):
+    model = IntegerModel(centered)
+    terms: list[int] = []
+    bad = 1
+    for n, (a, b) in enumerate(model.orbit(0, N, digit_budget, track=True, partial=seq), 1):
         A = abs(a)
-        split = primitive_split(A, history)
-        seq.records.append(OrbitRecord(n, -1 if a < 0 else 1, IdealPair(A, b), split, split.primitive_part > 1))
-        history.append(A)
+        split = primitive_split(A, [terms[n // q - 1] for q in _prime_divisors(n)] + [bad])
+        seq.records.append(OrbitRecord(n, -1 if a < 0 else 1, IdealPair.coprime(A, b), split, split.primitive_part > 1))
+        terms.append(A)
+        bad = math.lcm(bad, math.gcd(A, model.scale))
     return seq
+
+
+def _prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
 
 
 def zsigmondy_set(seq: OrbitSequence, N: int) -> set[int]:

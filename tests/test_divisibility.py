@@ -7,6 +7,7 @@ import pytest
 from dynzsig.divisibility import (
     FactorBudget,
     Factorization,
+    IdealPair,
     decimal_digits,
     factor,
     has_primitive_divisor,
@@ -58,6 +59,14 @@ def test_ideal_pair_examples():
     assert (ideal_pair(Fraction(26, 5)).A, ideal_pair(Fraction(26, 5)).B) == (26, 5)
     assert (ideal_pair(-7).A, ideal_pair(-7).B) == (7, 1)
     assert (ideal_pair(0).A, ideal_pair(0).B) == (0, 1)
+
+
+def test_ideal_pair_constructor_checks_its_input():
+    for A, B in ((4, 2), (-1, 1), (1, 0), (0, 2)):
+        with pytest.raises(ValueError):
+            IdealPair(A, B)
+    assert IdealPair.coprime(26, 5) == IdealPair(26, 5)
+    assert hash(IdealPair.coprime(26, 5)) == hash(IdealPair(26, 5))
 
 
 # --- factor ----------------------------------------------------------------
@@ -428,6 +437,9 @@ def test_decimal_digits_exact():
     assert decimal_digits(10) == 2
     assert decimal_digits(10**100 - 1) == 100
     assert decimal_digits(10**100) == 101
+    for k in range(1, 400):
+        for n in (10**k - 1, 10**k, 10**k + 1, 2**k - 1, 2**k, 2**k + 1):
+            assert decimal_digits(n) == decimal_digits(-n) == len(str(n))
 
 
 def test_factorization_reconstruct():

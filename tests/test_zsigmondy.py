@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from dynzsig.divisibility import FactorBudget, decimal_digits
+try:
+    from hypothesis import HealthCheck, example, given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the split differential below needs hypothesis
+    st = None
+
+from dynzsig.divisibility import FactorBudget, decimal_digits, primitive_split
 from dynzsig.heights import PlaceSet, canonical_height, height_comparison_bound, map_height
 from dynzsig.ratfield import IntegerModel, Polynomial, reverse_map
 from dynzsig.zsigmondy import (
@@ -107,6 +113,54 @@ def test_build_sequence_budget_carries_partial():
 def test_build_sequence_rejects_linear():
     with pytest.raises(ValueError):
         build_sequence(Z, 0, 3)
+
+
+def full_history_splits(phi, alpha, N, digit_budget):
+    """Every record of build_sequence (partial when the orbit stops early)
+    against primitive_split of its term by all earlier terms."""
+    try:
+        seq = build_sequence(phi, alpha, N, digit_budget=digit_budget)
+    except (DigitBudgetExceeded, PreperiodicPoint) as exc:
+        seq = exc.partial
+    terms = seq.terms()
+    for i, rec in enumerate(seq.records):
+        assert rec.split == primitive_split(terms[i], terms[:i])
+        P = rec.split.primitive_part
+        assert P * rec.split.nonprimitive_part == terms[i]
+        assert all(math.gcd(P, t) == 1 for t in terms[:i])
+        assert rec.primitive == (P > 1)
+    return seq
+
+
+def test_split_catches_primes_of_the_denominator():
+    # terms 1, 2, 4: the prime index 3 has only A_1 = 1 as a divisor-index
+    # term, and A_3 = 4 is non-primitive through the prime 2 of L = 2 and A_2
+    phi = Polynomial([1, Fraction(1, 2), Fraction(1, 2)])
+    seq = full_history_splits(phi, 0, 3, 1000)
+    assert seq.terms() == [1, 2, 4]
+    assert seq.record(3).split.primitive_part == 1
+    assert zsigmondy_set(seq, 3) == {1, 3}
+
+
+if st is not None:
+    small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=9)
+
+    @st.composite
+    def split_maps(draw):
+        """Maps with denominators (L > 1) and leading coefficients other than +-1."""
+        d = draw(st.integers(2, 4))
+        lower = draw(st.lists(small_rationals, min_size=d, max_size=d))
+        lead = draw(st.sampled_from([1, -1, 2, -3, 4, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)]))
+        return Polynomial(lower + [lead])
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(split_maps(), small_rationals, st.integers(1, 14), st.integers(20, 2000))
+    @example(Polynomial([1, Fraction(1, 2), Fraction(1, 2)]), Fraction(0), 8, 2000)  # A_3 = 4 via L = 2
+    @example(Polynomial([Fraction(2, 3), Fraction(3, 2), 1]), Fraction(0), 10, 2000)  # L = 6 divides several terms
+    @example(Polynomial([-6, Fraction(3, 2), 1]), Fraction(-1), 12, 400)  # partial sequence
+    @example(Polynomial([1, 0, 1]), Fraction(0), 14, 2000)  # z^2+1
+    def test_split_matches_full_history(phi, alpha, N, digit_budget):
+        full_history_splits(phi, alpha, N, digit_budget)
 
 
 # --- zsigmondy_set --------------------------------------------------------------
