@@ -8,10 +8,13 @@ sorted, reals are rendered to 12 significant digits, and arbitrary-precision
 integers are emitted as decimal strings so they survive any JSON consumer.
 
 An orbit report is built once, in the requested format: CSV rows carry digit
-counts only, so no term is converted to decimal for them.  For json and text
-each big integer is converted once, by `_decimal_str`, which splits integers
-above about 10,000 digits by powers of two and joins the halves with the
-`decimal` module's fast multiply, where `str(int)` takes quadratic time.
+counts only, so no term is converted to decimal for them.  For json and text,
+`_to_decimal` turns big integers into exact `Decimal`s: it splits them at the
+widths `_LEAF_BITS << k` and joins the halves with the `decimal` module's fast
+multiply, where `str(int)` takes quadratic time, and the powers of two it
+joins with are computed once per process.  Each orbit record converts its
+primitive part P and non-primitive part N and prints A as the exact product
+P * N, so no digit of A is converted twice.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
@@ -73,6 +77,7 @@ EXIT_OK = 0
 EXIT_HYPOTHESIS = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 class ParseError(Exception):
@@ -412,37 +417,47 @@ def _real(x: float) -> str:
 
 
 # str(int) takes quadratic time before Python 3.12; above _STR_BITS (about
-# 10,000 digits, the crossover measured on 3.11) _decimal_str splits by powers
-# of two down to _LEAF_BITS and joins the halves with libmpdec's multiply
+# 10,000 digits) _decimal_str converts with _to_decimal, whose leaves of at
+# most _LEAF_BITS go through Decimal(int).  On 3.11, with the power table
+# warm, str and _to_decimal tie at 16,384-24,576 bits and _to_decimal is
+# 1.5x faster at 2**15 bits; leaves of 1024-16384 bits are within noise
 _STR_BITS = 1 << 15
 _LEAF_BITS = 4096
+
+# the converter's arithmetic is on integers: exact at any size, or it raises
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+
+
+@functools.cache
+def _pow2(k: int) -> decimal.Decimal:
+    """2 ** (_LEAF_BITS << k), shared by every conversion in the process;
+    the table holds less than twice the largest integer converted."""
+    if k == 0:
+        return decimal.Decimal(1 << _LEAF_BITS)
+    half = _pow2(k - 1)
+    return _EXACT.multiply(half, half)
+
+
+def _to_decimal(m: int) -> decimal.Decimal:
+    """m >= 0 as an exact Decimal, in subquadratic time: m is split at the
+    width w = _LEAF_BITS << k that leaves a high part below 2**w, and the
+    halves are joined as lo + hi * 2**w with libmpdec's fast multiply
+    (Brent-Zimmermann, Modern Computer Arithmetic, 1.7)."""
+    bits = m.bit_length()
+    if bits <= _LEAF_BITS:
+        return decimal.Decimal(m)
+    k = ((bits - 1) // _LEAF_BITS).bit_length() - 1
+    w = _LEAF_BITS << k
+    hi = m >> w
+    lo = m - (hi << w)
+    return _EXACT.add(_to_decimal(lo), _EXACT.multiply(_to_decimal(hi), _pow2(k)))
 
 
 def _decimal_str(n: int) -> str:
     """str(n), in subquadratic time for big n."""
     if n.bit_length() <= _STR_BITS:
         return str(n)
-    D = decimal.Decimal
-    powers: dict[int, decimal.Decimal] = {}
-
-    def pow2(w: int) -> decimal.Decimal:
-        if w not in powers:
-            powers[w] = D(1 << w) if w <= _LEAF_BITS else pow2(w >> 1) * pow2(w - (w >> 1))
-        return powers[w]
-
-    def join(m: int, w: int) -> decimal.Decimal:
-        # m < 2**w
-        if w <= _LEAF_BITS:
-            return D(m)
-        half = w >> 1
-        hi = m >> half
-        return join(m - (hi << half), half) + join(hi, w - half) * pow2(half)
-
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
-        digits = str(join(abs(n), n.bit_length()))
+    digits = str(_to_decimal(abs(n)))
     return "-" + digits if n < 0 else digits
 
 
@@ -517,7 +532,11 @@ def _orbit_rows(seq: OrbitSequence) -> list[tuple]:
 def _orbit_result(seq: OrbitSequence) -> dict:
     records = []
     for rec in seq.records:
-        a, b = _decimal_str(rec.ideal.A), _decimal_str(rec.ideal.B)
+        # A = P * N exactly (build_sequence sets N = A // P), so A is the
+        # product of the two converted parts instead of a third conversion
+        p = _to_decimal(rec.split.primitive_part)
+        q = _to_decimal(rec.split.nonprimitive_part)
+        a, b = str(_EXACT.multiply(p, q)), _decimal_str(rec.ideal.B)
         # as str(rec.value), without converting A and B again
         value = ("-" if rec.sign < 0 else "") + (a if b == "1" else f"{a}/{b}")
         records.append(
@@ -525,8 +544,8 @@ def _orbit_result(seq: OrbitSequence) -> dict:
                 "n": rec.n,
                 "numerator_ideal": a,
                 "denominator_ideal": b,
-                "primitive_part": _decimal_str(rec.split.primitive_part),
-                "nonprimitive_part": _decimal_str(rec.split.nonprimitive_part),
+                "primitive_part": str(p),
+                "nonprimitive_part": str(q),
                 "has_primitive_divisor": rec.primitive,
                 "value": value,
             }
@@ -577,7 +596,7 @@ def _require(args: dict, *names: str):
 def _build_orbit(args: dict, config: RunConfig):
     parsed = parse_poly(args["poly"])
     alpha = parse_rational(args.get("alpha") or "0")
-    N = int(args.get("n") or 8)
+    N = 8 if args.get("n") is None else int(args["n"])
     return build_sequence(parsed.poly, alpha, N, digit_budget=config.digit_budget)
 
 
@@ -766,7 +785,7 @@ def _cmd_family_check(args: dict, config: RunConfig):
     }
     warnings: list[str] = []
     if classification == "wandering":
-        N = int(args.get("n") or 4)
+        N = 4 if args.get("n") is None else int(args["n"])
         growth = growth_check(spec, N, digit_budget=config.digit_budget)
         result["growth"] = {
             "passed": growth.passed,
@@ -837,7 +856,9 @@ def run_subcommand(name: str, args: dict, config: RunConfig):
     """Run one subcommand; returns (exit_code, report_text, diagnostics).
 
     Exit codes: 0 success, 1 hypothesis violation, 2 parse/config error,
-    3 digit-budget exhaustion (with partial results in the report).
+    3 digit-budget exhaustion (with partial results in the report), 4 an
+    internal error (a defect: the report and a one-line diagnostic name the
+    exception and where it was raised).
     """
     if name not in _COMMANDS:
         return EXIT_USAGE, "", f"unknown subcommand {name!r}"
@@ -881,6 +902,12 @@ def _run(name: str, args: dict, config: RunConfig):
             result["partial"], rows = _orbit_output(exc.partial, config.fmt)
         code = EXIT_BUDGET
         diagnostics = f"budget exhausted: {exc}"
+    except Exception as exc:  # a defect, reported in the same form as any failure
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        error = f"{type(exc).__name__}: {exc} (at {os.path.basename(where.filename)}:{where.lineno})"
+        result = {"error": error, "reason": "internal error"}
+        code = EXIT_INTERNAL
+        diagnostics = f"internal error: {error}"
 
     if config.fmt == "csv":
         if rows is None:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, prod
 from typing import TYPE_CHECKING, Iterable, MutableMapping, Optional
@@ -234,12 +233,6 @@ def _factor_uncached(n: int, budget: FactorBudget) -> Factorization:
                 queue.append(d)
                 queue.append(m // d)
     return Factorization(dict(sorted(factors.items())), cofactor)
-
-
-def ideal_pair(x: Fraction | int | str) -> "IdealPair":
-    """Numerator/denominator ideal pair (|num|, den) of x in lowest terms."""
-    x = Fraction(x)
-    return IdealPair(abs(x.numerator), x.denominator)
 
 
 @dataclass(frozen=True)

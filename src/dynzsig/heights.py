@@ -40,12 +40,6 @@ def log_int(n: int) -> float:
     return shift * _LN2 + math.log(n >> shift)
 
 
-def rational_height(x: Coefficient) -> float:
-    """h(x) = log max(|numerator|, denominator) of x in lowest terms."""
-    x = as_rational(x)
-    return log_int(max(abs(x.numerator), x.denominator))
-
-
 @dataclass(frozen=True)
 class Place:
     """A place of Q: archimedean when prime is None, else the p-adic place."""

@@ -577,6 +577,8 @@ def growth_check(spec: FamilySpec, N: int, digit_budget: int = 100_000) -> Growt
     |phi(0)|^2 >= 4, and the exponent floor |phi^n(0)| >= max|a_j|^alpha_n
     with alpha_n = (2^n (m-1) m^(n-1) + 2m) / (2m - 1), all in exact integers.
     """
+    if N < 1:
+        raise ValueError("growth_check requires N >= 1")
     if fixed_or_wandering(spec) != "wandering":
         raise HypothesisViolated("0 is fixed", "growth requires 0 to wander")
     phi = family_build(spec)

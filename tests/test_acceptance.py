@@ -25,7 +25,6 @@ from dynzsig.heights import (
     canonical_height,
     height_comparison_bound,
     log_int,
-    rational_height,
     sum_local_at_infinity,
     valuation,
     weil_height,
@@ -49,6 +48,7 @@ from dynzsig.zsigmondy import (
     history_predicate,
     startup_predicate,
 )
+from oracles import rational_height
 
 S_INF = PlaceSet()
 SQUARE_PLUS_ONE = Polynomial([1, 0, 1])

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from dynzsig import cli
 from dynzsig.cli import (
     ExponentError,
     FactorCache,
@@ -264,6 +265,48 @@ def test_csv_does_not_mask_hypothesis_failures():
 def test_exit_code_good_runs_are_zero():
     assert run("orbit", poly="z^2+1", alpha="0", n=4)[0] == 0
     assert run("powerful-check", poly="z^3")[0] == 0
+
+
+_BOUND_ARGV = ["--d", "3", "--B", "1", "--hhat", "1", "--htilde", "1", "--gamma", "1", "--s-size", "1"]
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "--poly", "z^2+1"],
+        ["zsigmondy", "--poly", "z^2+1"],
+        ["rigid-check", "--poly", "z^2+1"],
+        ["bound", "--poly", "z^3+1", *_BOUND_ARGV],
+        ["family-check", "--factors", "(z+2)^2*(z+3)^2"],
+    ],
+)
+def test_n_below_one_is_a_usage_error(argv, n, capsys):
+    # --n 0 once fell back to the default, and family-check --n -1 indexed an empty orbit
+    code = main([*argv, "--n", n])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["result"]["error"].endswith("requires N >= 1")
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_internal_error_has_its_own_exit_code(fmt, monkeypatch, capsys):
+    def broken(args, config):
+        return [][0]
+
+    _, options, required = cli._COMMANDS["orbit"]
+    monkeypatch.setitem(cli._COMMANDS, "orbit", (broken, options, required))
+    code = main(["orbit", "--poly", "z^2+1", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4
+    assert captured.err.startswith("internal error: IndexError: list index out of range (at test_cli.py:")
+    assert captured.err.count("\n") == 1
+    if fmt == "json":
+        result = json.loads(captured.out)["result"]
+        assert result == {"error": captured.err[len("internal error: "):-1], "reason": "internal error"}
+    else:
+        assert captured.out == ""
 
 
 def test_run_subcommand_restores_int_str_limit():

@@ -11,7 +11,6 @@ from dynzsig.divisibility import (
     decimal_digits,
     factor,
     has_primitive_divisor,
-    ideal_pair,
     is_probable_prime,
     nonprimitive_bound_check,
     prime_to_s_norm,
@@ -23,6 +22,7 @@ from dynzsig.divisibility import (
 from dynzsig.heights import PlaceSet
 from dynzsig.ratfield import Polynomial
 from dynzsig.zsigmondy import FamilyFactor, FamilySpec, family_build, valuation_stability_check
+from oracles import ideal_pair
 
 S_INF = PlaceSet()
 

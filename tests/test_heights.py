@@ -16,11 +16,11 @@ from dynzsig.heights import (
     local_log_distance,
     log_int,
     map_height,
-    rational_height,
     sum_local_at_infinity,
     weil_height,
 )
 from dynzsig.ratfield import Polynomial, ProjPoint, RationalMap, conjugate, reverse_map
+from oracles import rational_height
 
 Z = Polynomial.identity()
 INF = ProjPoint.infinity()

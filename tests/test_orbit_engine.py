@@ -31,13 +31,12 @@ from dynzsig import (  # noqa: E402
     family_build,
     growth_check,
     height_comparison_bound,
-    ideal_pair,
-    rational_height,
     squarefree_decomposition,
     valuation_stability_check,
     wandering_verdict,
 )
 from dynzsig.divisibility import factor, valuation  # noqa: E402
+from oracles import ideal_pair, rational_height  # noqa: E402
 
 # the replaced loops wrote the bit budget as digits * (1 / log10 2) or as
 # digits / log10 2; the two agree below 59,632,978 digits, far above any budget

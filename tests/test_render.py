@@ -3,6 +3,7 @@ are built once in the requested format and stay byte-identical."""
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 from dynzsig import cli  # noqa: E402
 from dynzsig.cli import RunConfig, run_subcommand  # noqa: E402
+from dynzsig.divisibility import IdealPair, PrimitiveSplit  # noqa: E402
+from dynzsig.ratfield import Polynomial  # noqa: E402
+from dynzsig.zsigmondy import OrbitRecord, OrbitSequence  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # The converter
@@ -48,6 +52,37 @@ def test_decimal_str_matches_str_on_random_values(bits, seed, negative):
     n = random.Random(seed).getrandbits(bits)
     n = -n if negative else n
     assert cli._decimal_str(n) == str(n)
+
+
+# sizes on both sides of the str() threshold, with the split widths
+# 2 ** (_LEAF_BITS << k) + {-1, 0, 1} that sit on the edges of the power table
+_WIDTHS = [cli._LEAF_BITS << k for k in range((2 * cli._STR_BITS // cli._LEAF_BITS).bit_length())]
+_PART = st.one_of(
+    st.builds(lambda w, d: 2**w + d, st.sampled_from(_WIDTHS), st.sampled_from((-1, 0, 1))),
+    st.builds(
+        lambda bits, seed: random.Random(seed).getrandbits(bits) | 1,
+        st.integers(1, 2 * cli._STR_BITS),
+        st.integers(0, 2**32),
+    ),
+)
+
+
+@given(p=_PART, q=_PART, rational=st.booleans(), sign=st.sampled_from((-1, 1)), cold=st.booleans())
+@example(p=2**cli._STR_BITS + 1, q=1, rational=False, sign=1, cold=True)
+@example(p=3, q=2 ** (cli._LEAF_BITS << 3) - 1, rational=True, sign=-1, cold=False)
+@settings(max_examples=40, deadline=None)
+def test_orbit_records_render_each_part_and_their_product(p, q, rational, sign, cold):
+    if cold:
+        cli._pow2.cache_clear()
+    b = p * q + 1 if rational else 1  # coprime to p * q
+    rec = OrbitRecord(1, sign, IdealPair.coprime(p * q, b), PrimitiveSplit(p, q), p > 1)
+    seq = OrbitSequence(phi=Polynomial([1, 0, 1]), alpha=Fraction(0), centered=Polynomial([1, 0, 1]), records=[rec])
+    (row,) = cli._orbit_result(seq)["records"]
+    assert row["primitive_part"] == str(p)
+    assert row["nonprimitive_part"] == str(q)
+    assert row["numerator_ideal"] == str(p * q)
+    assert row["denominator_ideal"] == str(b)
+    assert row["value"] == str(Fraction(sign * p * q, b))
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +147,7 @@ def test_csv_reports_render_no_decimal_strings(command, config, monkeypatch):
         raise AssertionError("a CSV report converted an integer to decimal")
 
     monkeypatch.setattr(cli, "_decimal_str", refuse)
+    monkeypatch.setattr(cli, "_to_decimal", refuse)
     args = dict(poly="z^2+1", n=30 if config else 18)
     code, report, _ = run_subcommand(command, args, RunConfig(fmt="csv", **config))
     assert code == (3 if config else 0)
