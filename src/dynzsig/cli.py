@@ -49,7 +49,7 @@ from .heights import (
     sum_local_at_infinity,
     weil_height,
 )
-from .ratfield import Polynomial, ProjPoint, is_powerful, reverse_map, squarefree_decomposition
+from .ratfield import Polynomial, ProjPoint, is_powerful, squarefree_decomposition
 from .zsigmondy import (
     BoundInputs,
     DigitBudgetExceeded,
@@ -161,7 +161,6 @@ class ParsedPoly:
 
     poly: Polynomial
     factored: Optional[tuple[tuple[Polynomial, int], ...]]
-    text: str
 
 
 class _Parser:
@@ -192,7 +191,7 @@ class _Parser:
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-        return ParsedPoly(poly=poly, factored=factors, text=self.text)
+        return ParsedPoly(poly=poly, factored=factors)
 
     def _expr(self):
         sign = 1
@@ -649,6 +648,9 @@ def _cmd_heights(args: dict, config: RunConfig):
     places = _place_set(args.get("places"))
     point = ProjPoint.from_value(value)
     bound = height_comparison_bound(parsed.poly)
+    # reversing the coefficients (conjugating by z -> 1/z) permutes the
+    # integer coefficient vector, so both maps have the same height
+    h_map = _real(map_height(parsed.poly))
     est = canonical_height(
         parsed.poly, value, config.tol, digit_budget=config.digit_budget
     )
@@ -656,8 +658,8 @@ def _cmd_heights(args: dict, config: RunConfig):
         "poly": str(parsed.poly),
         "point": str(value),
         "weil_height": _real(weil_height(point)),
-        "map_height": _real(map_height(parsed.poly)),
-        "reversed_map_height": _real(map_height(reverse_map(parsed.poly))),
+        "map_height": h_map,
+        "reversed_map_height": h_map,
         "comparison_bound": _real(bound),
         "canonical_height": _estimate_dict(est),
         "places": [str(p) for p in places],
@@ -773,6 +775,9 @@ def _cmd_family_check(args: dict, config: RunConfig):
     parsed = parse_poly(args["factors"])
     spec = _family_from_parsed(parsed)
     phi = family_build(spec)
+    N = 4 if args.get("n") is None else int(args["n"])
+    if N < 1:  # checked here too: a fixed family runs no growth check
+        raise ValueError("growth_check requires N >= 1")
     classification = fixed_or_wandering(spec)
     result = {
         "factors": [
@@ -785,7 +790,6 @@ def _cmd_family_check(args: dict, config: RunConfig):
     }
     warnings: list[str] = []
     if classification == "wandering":
-        N = 4 if args.get("n") is None else int(args["n"])
         growth = growth_check(spec, N, digit_budget=config.digit_budget)
         result["growth"] = {
             "passed": growth.passed,

@@ -10,16 +10,22 @@ The canonical height is h(phi^N(P)) / d^N on the exact orbit, iterated by the
 one orbit engine, ratfield.IntegerModel, on coprime pairs (a, b): since
 F(a, b) = f_d a^d (mod b) for phi = F(X, Y) / (L Y^d), gcds with the small
 k = L |f_d| alone reduce each step, and h(a/b) = log max(|a|, b).
+
+The same model gives the map's height: the coprime integer vector
+(f_0, ..., f_d, L) is phi's coefficient vector, so h(phi) = log max of its
+entries.  Conjugating by z -> 1/z reverses the coefficients and only permutes
+that vector, so the reversed map has the same height (Silverman, The
+Arithmetic of Dynamical Systems, GTM 241).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .divisibility import is_probable_prime, valuation
-from .ratfield import Coefficient, Polynomial, ProjPoint, RationalMap, as_rational
+from .ratfield import Coefficient, Polynomial, ProjPoint, as_rational
 from .ratfield import DigitBudgetExceeded, IntegerModel
 
 _LN2 = math.log(2)
@@ -130,14 +136,19 @@ def weil_height(P: ProjPoint) -> float:
     return log_int(max(abs(P.x), abs(P.y)))
 
 
-def map_height(phi: Union[RationalMap, Polynomial]) -> float:
-    """Projective coefficient height: clear denominators of numerator and
-    denominator jointly to a coprime integer vector, return log max |entry|.
+def map_height(phi: Polynomial) -> float:
+    """Projective coefficient height log max(L, |f_0|, ..., |f_d|), read off
+    the integer model phi = F(X, Y) / (L Y^d) with f_i = L c_i.
+
+    The vector (f_0, ..., f_d, L) is already coprime: for p^e exactly
+    dividing L, the coefficient whose denominator carries p^e gives an f_i
+    prime to p.  A constant map's vector is its value's, and the zero map
+    has height 0.
     """
-    if isinstance(phi, Polynomial):
-        phi = RationalMap(phi)
-    num, den = phi.integer_coefficients()
-    return log_int(max(abs(c) for c in num + den))
+    if phi.degree < 1:
+        return weil_height(ProjPoint.from_value(phi.lead))
+    model = IntegerModel(phi)
+    return log_int(max(model.scale, abs(model.lead), *(abs(c) for c in model.lower)))
 
 
 def _cross(P: ProjPoint, Q: ProjPoint) -> int:
@@ -185,18 +196,14 @@ def sum_local_at_infinity(P: ProjPoint, places: PlaceSet) -> float:
     return sum(local_log_distance(P, inf_pt, v) for v in places)
 
 
-def _is_pure_power_map(phi: Polynomial) -> bool:
-    num, den = RationalMap(phi).integer_coefficients()
-    return den == (1,) and abs(num[-1]) == 1 and all(c == 0 for c in num[:-1])
-
-
 def height_comparison_bound(phi: Polynomial) -> float:
     """A finite B with |canonical height - Weil height| <= B everywhere.
 
     For phi = +/- z^d plain heights are exactly multiplicative along the
     orbit, so B = 0.  Otherwise B = max(C_up, C_low) / (d - 1), telescoped
-    from one-step comparison constants for the integer model F = sum b_i
-    X^i Y^{d-i}, G = l Y^d of phi (H = max(|b_i|, l), h = log H):
+    from one-step comparison constants for the integer model F = sum f_i
+    X^i Y^{d-i}, G = L Y^d of phi (ratfield.IntegerModel; h = map_height(phi)
+    = log max(|f_i|, L)):
 
         h(phi(x)) - d h(x) <=  h + log(d + 1)                  =: C_up
         d h(x) - h(phi(x)) <=  log(2d) + (2d-1)(log(d+1)/2 + h) =: C_low
@@ -205,12 +212,12 @@ def height_comparison_bound(phi: Polynomial) -> float:
     gcd(F(p,q), G(p,q)) | Res(F, G) with the Bezout identities
     u F + v G = Res * X^(2d-1) (and Y^(2d-1)), whose cofactor coefficients
     are Sylvester-matrix minors bounded by Hadamard's inequality.
-    Deliberately conservative; callers may override with a sharper constant.
+    Deliberately conservative.
     """
     d = phi.degree
     if d < 2:
         raise ValueError("height_comparison_bound requires degree >= 2")
-    if _is_pure_power_map(phi):
+    if abs(phi.lead) == 1 and not any(phi.coeffs[:-1]):
         return 0.0
     h = map_height(phi)
     c_up = h + math.log(d + 1)
@@ -223,24 +230,21 @@ def canonical_height(
     P: Coefficient,
     tol: float,
     *,
-    bound: Optional[float] = None,
     digit_budget: int = 100_000,
 ) -> HeightEstimate:
     """Estimate the canonical height of P under phi as h(phi^N(P)) / d^N.
 
     N is the least iterate count with B / d^N <= tol, where B is the
-    comparison bound (or the caller's override).  If an orbit value would
-    exceed digit_budget decimal digits first, the partial estimate is
-    returned with its larger certified error bound and truncated set.
+    comparison bound.  If an orbit value would exceed digit_budget decimal
+    digits first, the partial estimate is returned with its larger certified
+    error bound and truncated set.
     """
     d = phi.degree
     if d < 2:
         raise ValueError("canonical_height requires degree >= 2")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    B = height_comparison_bound(phi) if bound is None else float(bound)
-    if B < 0:
-        raise ValueError("comparison bound must be >= 0")
+    B = height_comparison_bound(phi)
 
     target = 0
     tail = B

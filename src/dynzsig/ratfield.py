@@ -1,5 +1,6 @@
-"""Exact arithmetic over Q: dense polynomials, rational maps, projective
-points, and IntegerModel, the one engine every exact orbit runs on.
+"""Exact arithmetic over Q: dense polynomials, projective points, and
+IntegerModel, the one engine every exact orbit runs on and the one place a
+map's coefficients are scaled to integers.
 
 Integers are plain Python ints (arbitrary precision, canonical zero) and
 rationals are fractions.Fraction (always reduced, positive denominator), so
@@ -282,77 +283,6 @@ def is_powerful(f: Polynomial) -> bool:
     if f.degree < 2:
         return False
     return all(mult >= 2 for _, mult in squarefree_decomposition(f))
-
-
-class RationalMap:
-    """Quotient of two coprime polynomials over Q.
-
-    Stored reduced and normalized: the joint coefficient vector of numerator
-    and denominator is scaled to coprime integers with the denominator's
-    leading coefficient positive, so equality is structural and the
-    projective coefficient height can be read off directly.
-    """
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: Polynomial, denominator: Polynomial = Polynomial((1,))):
-        if denominator.is_zero:
-            raise ValueError("rational map denominator is zero")
-        if not numerator.is_zero:
-            g = poly_gcd(numerator, denominator)
-            if g.degree >= 1:
-                numerator = numerator // g
-                denominator = denominator // g
-        scale = _primitive_scale(numerator.coeffs + denominator.coeffs)
-        if denominator.lead * scale < 0:
-            scale = -scale
-        object.__setattr__(self, "numerator", Polynomial(tuple(c * scale for c in numerator.coeffs)))
-        object.__setattr__(self, "denominator", Polynomial(tuple(c * scale for c in denominator.coeffs)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMap is immutable")
-
-    @property
-    def degree(self) -> int:
-        return max(self.numerator.degree, self.denominator.degree)
-
-    def integer_coefficients(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Jointly primitive integer coefficient vectors (numerator, denominator)."""
-        num = tuple(int(c) for c in self.numerator.coeffs)
-        den = tuple(int(c) for c in self.denominator.coeffs)
-        return num, den
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalMap):
-            return NotImplemented
-        return self.numerator == other.numerator and self.denominator == other.denominator
-
-    def __hash__(self) -> int:
-        return hash((self.numerator, self.denominator))
-
-    def __repr__(self) -> str:
-        return f"RationalMap({self.numerator!r}, {self.denominator!r})"
-
-    def __str__(self) -> str:
-        return f"({self.numerator}) / ({self.denominator})"
-
-
-def _primitive_scale(coeffs: tuple[Fraction, ...]) -> Fraction:
-    """Rational t > 0 making t*coeffs a coprime integer vector."""
-    den_lcm = lcm(*(c.denominator for c in coeffs))
-    g = gcd(*(int(c * den_lcm) for c in coeffs))
-    return Fraction(den_lcm, g if g else 1)
-
-
-def reverse_map(psi: Polynomial) -> RationalMap:
-    """Conjugate psi by z -> 1/z: returns z^d / rev(psi) with
-    rev(psi)(z) = z^d * psi(1/z), reduced to coprime numerator/denominator.
-    """
-    d = psi.degree
-    if d < 1:
-        raise ValueError("reverse_map requires degree >= 1")
-    reversed_coeffs = tuple(reversed(psi.coeffs))
-    return RationalMap(Polynomial.monomial(1, d), Polynomial(reversed_coeffs))
 
 
 class ProjPoint:

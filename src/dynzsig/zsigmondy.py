@@ -183,14 +183,16 @@ def wandering_verdict(
     """
     if phi.degree < 2:
         raise ValueError("wandering_verdict requires degree >= 2")
-    lead = abs(phi.coeffs[-1])
-    tail_sum = sum(abs(c) for c in phi.coeffs[:-1])
-    escape = max(Fraction(1), (1 + tail_sum) / lead)
+    # |a| / b > max(1, (1 + sum_(i<d) |c_i|) / |c_d|), the escape radius, with
+    # both sides times |f_d| = L |c_d| to stay in integers
+    model = IntegerModel(phi)
+    lead = abs(model.lead)
+    reach = max(lead, model.scale + sum(abs(c) for c in model.lower))
     height_ceiling = height_comparison_bound(phi) + 1.0
 
     try:
-        for a, b in IntegerModel(phi).orbit(alpha, max(1, probe), track=True):
-            if abs(a) * escape.denominator > escape.numerator * b or log_int(max(abs(a), b)) > height_ceiling:
+        for a, b in model.orbit(alpha, max(1, probe), track=True):
+            if abs(a) * lead > reach * b or log_int(max(abs(a), b)) > height_ceiling:
                 return "wandering"
     except PreperiodicPoint:
         return "preperiodic"
@@ -212,8 +214,6 @@ class BoundInputs:
     comparison_bound plays the role of the height-comparison constant for the
     centered map; gamma is the non-constructive local-distance constant and
     must be supplied by the caller (it depends only on the degree over Q).
-    h_map is informational (the formula consumes it only through
-    comparison_bound).
     """
 
     d: int
@@ -222,7 +222,6 @@ class BoundInputs:
     comparison_bound: float
     gamma: float
     s_size: int
-    h_map: float = 0.0
 
     def __post_init__(self):
         if self.d < 3:
@@ -235,7 +234,7 @@ class BoundInputs:
             raise ValueError("gamma must be positive")
         if self.s_size < 1:
             raise ValueError("s_size must be >= 1")
-        for v in (self.h_map, self.h_reversed, self.hhat0, self.comparison_bound, self.gamma):
+        for v in (self.h_reversed, self.hhat0, self.comparison_bound, self.gamma):
             if not math.isfinite(v):
                 raise ValueError("bound inputs must be finite")
 
@@ -422,23 +421,19 @@ def check_term_lower_bound(
     n: int,
     places: PlaceSet,
     comparison_bound: float,
-    gamma_free: bool = True,
     hhat0: Optional[HeightEstimate] = None,
 ) -> bool:
     """Check (3/4) * hhat0 * d^n < log of the prime-to-S norm of A_n for
     indices outside the startup set and the empirical close-approach set.
 
-    gamma_free=True (the default) excludes close-approach indices by their
-    exact empirical test, keeping the check independent of the
-    non-constructive gamma constant.  gamma_free=False drops that exclusion
-    and applies the core inequality to every index outside the startup set,
-    which is a strictly harsher diagnostic.
+    Close-approach indices are excluded by their exact empirical test, which
+    keeps the check independent of the non-constructive gamma constant.
     """
     hhat0 = _hhat0_for(seq, hhat0)
     h_low = max(hhat0.value - hhat0.error_bound, 1e-15)
     if startup_predicate(seq.degree, comparison_bound, h_low, n):
         return True
-    if gamma_free and is_close_approach(seq, n, places, hhat0):
+    if is_close_approach(seq, n, places, hhat0):
         return True
     rec = seq.record(n)
     norm = prime_to_s_norm(rec.ideal.A, places)
@@ -488,10 +483,6 @@ class FamilySpec:
     @property
     def m(self) -> int:
         return len(self.factors)
-
-    @property
-    def max_exponent(self) -> int:
-        return max(f.exponent for f in self.factors)
 
     def offsets(self) -> tuple[int, ...]:
         return tuple(f.offset for f in self.factors)

@@ -2,10 +2,12 @@
 kept as references for the tests that compare against them."""
 
 from fractions import Fraction
+from math import gcd, lcm
+from typing import Union
 
 from dynzsig.divisibility import IdealPair
 from dynzsig.heights import log_int
-from dynzsig.ratfield import Coefficient, as_rational
+from dynzsig.ratfield import Coefficient, Polynomial, as_rational, poly_gcd
 
 
 def ideal_pair(x: Fraction | int | str) -> "IdealPair":
@@ -18,3 +20,84 @@ def rational_height(x: Coefficient) -> float:
     """h(x) = log max(|numerator|, denominator) of x in lowest terms."""
     x = as_rational(x)
     return log_int(max(abs(x.numerator), x.denominator))
+
+
+class RationalMap:
+    """Quotient of two coprime polynomials over Q.
+
+    Stored reduced and normalized: the joint coefficient vector of numerator
+    and denominator is scaled to coprime integers with the denominator's
+    leading coefficient positive, so equality is structural and the
+    projective coefficient height can be read off directly.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: Polynomial, denominator: Polynomial = Polynomial((1,))):
+        if denominator.is_zero:
+            raise ValueError("rational map denominator is zero")
+        if not numerator.is_zero:
+            g = poly_gcd(numerator, denominator)
+            if g.degree >= 1:
+                numerator = numerator // g
+                denominator = denominator // g
+        scale = _primitive_scale(numerator.coeffs + denominator.coeffs)
+        if denominator.lead * scale < 0:
+            scale = -scale
+        object.__setattr__(self, "numerator", Polynomial(tuple(c * scale for c in numerator.coeffs)))
+        object.__setattr__(self, "denominator", Polynomial(tuple(c * scale for c in denominator.coeffs)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RationalMap is immutable")
+
+    @property
+    def degree(self) -> int:
+        return max(self.numerator.degree, self.denominator.degree)
+
+    def integer_coefficients(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Jointly primitive integer coefficient vectors (numerator, denominator)."""
+        num = tuple(int(c) for c in self.numerator.coeffs)
+        den = tuple(int(c) for c in self.denominator.coeffs)
+        return num, den
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RationalMap):
+            return NotImplemented
+        return self.numerator == other.numerator and self.denominator == other.denominator
+
+    def __hash__(self) -> int:
+        return hash((self.numerator, self.denominator))
+
+    def __repr__(self) -> str:
+        return f"RationalMap({self.numerator!r}, {self.denominator!r})"
+
+    def __str__(self) -> str:
+        return f"({self.numerator}) / ({self.denominator})"
+
+
+def _primitive_scale(coeffs: tuple[Fraction, ...]) -> Fraction:
+    """Rational t > 0 making t*coeffs a coprime integer vector."""
+    den_lcm = lcm(*(c.denominator for c in coeffs))
+    g = gcd(*(int(c * den_lcm) for c in coeffs))
+    return Fraction(den_lcm, g if g else 1)
+
+
+def reverse_map(psi: Polynomial) -> RationalMap:
+    """Conjugate psi by z -> 1/z: returns z^d / rev(psi) with
+    rev(psi)(z) = z^d * psi(1/z), reduced to coprime numerator/denominator.
+    """
+    d = psi.degree
+    if d < 1:
+        raise ValueError("reverse_map requires degree >= 1")
+    reversed_coeffs = tuple(reversed(psi.coeffs))
+    return RationalMap(Polynomial.monomial(1, d), Polynomial(reversed_coeffs))
+
+
+def rational_map_height(phi: Union[RationalMap, Polynomial]) -> float:
+    """Projective coefficient height: clear denominators of numerator and
+    denominator jointly to a coprime integer vector, return log max |entry|.
+    """
+    if isinstance(phi, Polynomial):
+        phi = RationalMap(phi)
+    num, den = phi.integer_coefficients()
+    return log_int(max(abs(c) for c in num + den))

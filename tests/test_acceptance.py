@@ -223,7 +223,7 @@ def test_criterion_7_section3_machinery():
         hhat0 = canonical_height(seq.centered, 0, 1e-6)
         for n in range(1, 9):
             assert check_term_upper_bound(seq, n, B, hhat0), (c, n)
-            assert check_term_lower_bound(seq, n, S_INF, B, True, hhat0), (c, n)
+            assert check_term_lower_bound(seq, n, S_INF, B, hhat0), (c, n)
         members = [n for n in range(1, 9) if is_close_approach(seq, n, S_INF, hhat0)]
         cutoff = max(members, default=0) + 1
         assert cutoff <= 8

@@ -279,10 +279,12 @@ _BOUND_ARGV = ["--d", "3", "--B", "1", "--hhat", "1", "--htilde", "1", "--gamma"
         ["rigid-check", "--poly", "z^2+1"],
         ["bound", "--poly", "z^3+1", *_BOUND_ARGV],
         ["family-check", "--factors", "(z+2)^2*(z+3)^2"],
+        ["family-check", "--factors", "z^2*(z+3)^2"],
     ],
 )
 def test_n_below_one_is_a_usage_error(argv, n, capsys):
-    # --n 0 once fell back to the default, and family-check --n -1 indexed an empty orbit
+    # --n 0 once fell back to the default, family-check --n -1 indexed an empty
+    # orbit, and a fixed family (offset 0) never read --n
     code = main([*argv, "--n", n])
     captured = capsys.readouterr()
     assert code == 2

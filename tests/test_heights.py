@@ -4,6 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+try:
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the oracle differentials below need hypothesis
+    st = None
+
 from dynzsig.divisibility import factor, prime_to_s_norm, valuation
 from dynzsig.heights import (
     ARCHIMEDEAN,
@@ -19,8 +25,8 @@ from dynzsig.heights import (
     sum_local_at_infinity,
     weil_height,
 )
-from dynzsig.ratfield import Polynomial, ProjPoint, RationalMap, conjugate, reverse_map
-from oracles import rational_height
+from dynzsig.ratfield import Polynomial, ProjPoint, conjugate
+from oracles import RationalMap, rational_height, rational_map_height, reverse_map
 
 Z = Polynomial.identity()
 INF = ProjPoint.infinity()
@@ -83,9 +89,47 @@ def test_map_height_examples():
     assert map_height(mixed) == pytest.approx(math.log(6))
 
 
-def test_map_height_accepts_rational_maps():
+def test_map_height_matches_rational_map_oracle():
+    # z^2 / (5 z^2 + 1) is z^2 + 5 reversed
     rm = RationalMap(Z**2, Polynomial([1, 0, 5]))
-    assert map_height(rm) == pytest.approx(math.log(5))
+    assert rm == reverse_map(Polynomial([5, 0, 1]))
+    assert map_height(Polynomial([5, 0, 1])) == rational_map_height(rm) == pytest.approx(math.log(5))
+
+
+if st is not None:
+    _COEFF = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-(10**9), 10**9), st.integers(1, 10**9)),
+    )
+    _MAPS = st.one_of(
+        st.lists(_COEFF, max_size=10).map(Polynomial),  # degree -1 to 9
+        st.builds(Polynomial.monomial, st.sampled_from((1, -1)), st.integers(0, 9)),
+    )
+
+    @given(_MAPS)
+    @example(Polynomial.zero())
+    @example(Polynomial([Fraction(-7, 12)]))
+    @example(Polynomial([0, Fraction(1, 4), 0, Fraction(-5, 6)]))
+    @example(Polynomial([Fraction(1, 8), 0, Fraction(3, 4), Fraction(1, 2)]))
+    @settings(max_examples=300, deadline=None)
+    def test_map_height_equals_the_oracle_on_random_maps(phi):
+        h = map_height(phi)
+        assert h == rational_map_height(RationalMap(phi))
+        if phi.degree >= 1:
+            assert h == rational_map_height(reverse_map(phi))
+
+    @given(_MAPS)
+    @example(Polynomial.monomial(-1, 2))
+    @example(Polynomial([0, 0, 0, Fraction(1, 3)]))
+    @example(Polynomial([Fraction(1, 2), 0, 1]))
+    @settings(max_examples=300, deadline=None)
+    def test_comparison_bound_is_zero_exactly_for_pure_powers(phi):
+        if phi.degree < 2:
+            return
+        num, den = RationalMap(phi).integer_coefficients()
+        pure_power = den == (1,) and abs(num[-1]) == 1 and not any(num[:-1])
+        assert pure_power == (phi in (Z**phi.degree, -(Z**phi.degree)))
+        assert (height_comparison_bound(phi) == 0.0) == pure_power
 
 
 # --- chordal metric -------------------------------------------------------------
@@ -297,8 +341,8 @@ def test_canonical_height_budget_flag():
     assert est.error_bound > 1e-9  # certified but larger than requested
 
 
-def test_canonical_height_respects_bound_override():
-    est = canonical_height(Polynomial([1, 0, 1]), 0, 0.5, bound=0.0)
+def test_canonical_height_zero_bound_takes_no_steps():
+    est = canonical_height(Z**2, 0, 0.5)  # B = 0 for a pure power
     assert est.iterations == 0
     assert est.value == 0.0  # h(0) with no iterations
 
@@ -321,4 +365,4 @@ def test_height_estimate_validation():
 def test_reversed_map_height_example():
     # z^2 + c reverses to z^2 / (c z^2 + 1)
     phi = Polynomial([3, 0, 1])
-    assert map_height(reverse_map(phi)) == pytest.approx(math.log(3))
+    assert map_height(phi) == rational_map_height(reverse_map(phi)) == pytest.approx(math.log(3))

@@ -10,13 +10,12 @@ from dynzsig.ratfield import (
     Polynomial,
     PreperiodicPoint,
     ProjPoint,
-    RationalMap,
     conjugate,
     is_powerful,
     poly_gcd,
-    reverse_map,
     squarefree_decomposition,
 )
+from oracles import RationalMap, reverse_map
 
 Z = Polynomial.identity()
 

@@ -1,5 +1,6 @@
-"""Report rendering: the big-integer decimal converter, and orbit reports that
-are built once in the requested format and stay byte-identical."""
+"""Report rendering: the big-integer decimal converter, orbit reports that are
+built once in the requested format, and pinned digests that keep orbit,
+height and bound reports byte-identical."""
 
 import hashlib
 import random
@@ -152,3 +153,41 @@ def test_csv_reports_render_no_decimal_strings(command, config, monkeypatch):
     code, report, _ = run_subcommand(command, args, RunConfig(fmt="csv", **config))
     assert code == (3 if config else 0)
     assert report.startswith("n,value_digits,A_digits,primitive,P_digits,N_digits\n")
+
+
+# ---------------------------------------------------------------------------
+# Height and bound reports
+# ---------------------------------------------------------------------------
+
+# sha256 of each report, as printed before the map heights were read off the
+# integer model: -z^2 has comparison bound 0 (on the command line it needs
+# --poly=-z^2, or argparse reads it as a flag), and the cubic has rational
+# coefficients and a zero coefficient
+PINNED_HEIGHTS = [
+    ("heights", dict(poly="z^2+1/3", alpha="2/7"), {
+        "json": "2999a491a33eaba381e0aafe9b40fb7fca6de019261808664144e3ab93ec4262",
+        "text": "67d0312002916bc81e4fa0a7dbed4db9c78c671de82f7e78372734758f4ac9e3",
+    }),
+    ("heights", dict(poly="2/3*z^3-5/4*z+1/6", alpha="3/5"), {
+        "json": "6a1bc51fd0baafdf9c19b6b801970d5a34604d3b95a467e50bc834f06a1f65e5",
+        "text": "606bb92bc9c4c79f006737c3ac3818de4e85178738aaf431565dbac6925917f2",
+    }),
+    ("heights", dict(poly="-z^2", alpha="3"), {
+        "json": "a254421a7d3cfc39da162abdf03bca5bba613a1003d5c36d88f2ac8d758e7576",
+        "text": "8e63bd003fa0c263d7ba24b4d31cfb26a5f02f48837635e942a1c7fb97ca3983",
+    }),
+    ("bound", dict(poly="z^3+2", alpha="1", n=6, places="3", d=3, B="1", hhat="1", htilde="1", gamma="1", s_size=1), {
+        "json": "c4beab10eaac1df5cd103433ac6903bd72c8bf068c5553d46dc93b36f9a27f55",
+        "text": "6808592220f6724685eea53aa2e438dd84d72a8938d768a07b99eed3a14d15fa",
+    }),
+]
+
+
+@pytest.mark.parametrize(
+    "command, args, fmt, digest",
+    [(c, a, fmt, d) for c, a, digests in PINNED_HEIGHTS for fmt, d in digests.items()],
+)
+def test_height_reports_match_pinned_digests(command, args, fmt, digest):
+    code, report, _ = run_subcommand(command, dict(args), RunConfig(fmt=fmt))
+    assert code == 0
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
