@@ -235,9 +235,11 @@ def canonical_height(
     """Estimate the canonical height of P under phi as h(phi^N(P)) / d^N.
 
     N is the least iterate count with B / d^N <= tol, where B is the
-    comparison bound.  If an orbit value would exceed digit_budget decimal
-    digits first, the partial estimate is returned with its larger certified
-    error bound and truncated set.
+    comparison bound.  If an orbit value would outgrow the digit budget first
+    (IntegerModel.orbit states the exact rule), the partial estimate is
+    returned with its larger certified error bound and truncated set.  The
+    overflowing step is usually predicted from the engine's size lemma, not
+    computed.
     """
     d = phi.degree
     if d < 2:

@@ -366,9 +366,37 @@ class IntegerModel:
     divide a).  Every common factor lives on the primes of the small integer
     k = L * |f_d|, and repeating t = gcd(gcd(den, k), num) until t = 1
     reduces the pair without one big-by-big gcd.
+
+    Size lemma: write bits(x) = x.bit_length() and H = max(|a|, b) for the
+    input and H' = max(|a'|, b') for the output (a', b') = model(a, b).  Then
+
+        bits(H') >= d * (bits(H) - 1) - drop,
+        drop = max(1 + bits(L) + d * bits(f_d), d * (1 + bits(S))),
+
+    with S = sum_{i<d} |f_i|.  Proof, with g the gcd the loop divides out:
+
+    - g divides gcd(F, L * b^d), which divides gcd(F, L) * gcd(F, b^d), and
+      that divides L * f_d^d.  For a prime p | b (so p does not divide a),
+      every term of F but f_d a^d has v_p >= v_p(b).  If v_p(b) > v_p(f_d),
+      then v_p(F) = v_p(f_d); otherwise v_p(gcd(F, b^d)) <= d * v_p(b)
+      <= d * v_p(f_d).  So g <= L * |f_d|^d.
+    - max(|F(a, b)|, L * b^d) >= c * H^d with c = min(1/2, L * (|f_d|/2S)^d),
+      and c = 1 when S = 0.  If H = b this holds as L * b^d >= H^d.  So let
+      b <= |a| = H.  If |f_d| * |a| >= 2S * b, each lower term has
+      |f_i a^i b^(d-i)| <= |f_i| * |a|^(d-1) * b, so |F| >= |f_d| * |a|^d
+      - S * |a|^(d-1) * b >= |f_d| * |a|^d / 2 >= H^d / 2.  Otherwise S > 0
+      and b > |f_d| * |a| / 2S, so L * b^d > L * (|f_d|/2S)^d * H^d.  With
+      S = 0, F = f_d a^d and |F| >= H^d.
+    - Hence H' >= c * H^d / (L * |f_d|^d) >= H^d / max(2 L |f_d|^d, (2S)^d),
+      and log2 of that maximum is below drop, since log2 x < bits(x) for
+      x >= 1, while log2 H >= bits(H) - 1.  So log2 H' > d * (bits(H) - 1)
+      - drop, and bits(H') > log2 H' gives the lemma.
+
+    orbit uses it to raise the budget stop for a step whose value cannot fit,
+    without building that value.
     """
 
-    __slots__ = ("lead", "lower", "scale", "k")
+    __slots__ = ("lead", "lower", "scale", "k", "drop")
 
     def __init__(self, phi: Polynomial):
         if phi.degree < 1:
@@ -377,6 +405,8 @@ class IntegerModel:
         coeffs = [int(c * self.scale) for c in phi.coeffs]
         self.lead, self.lower = coeffs[-1], coeffs[-2::-1]  # lower: f_(d-1), ..., f_0
         self.k = self.scale * abs(self.lead)
+        d, tail = len(self.lower), sum(map(abs, self.lower))
+        self.drop = max(1 + self.scale.bit_length() + d * self.lead.bit_length(), d * (1 + tail.bit_length()))
 
     def __call__(self, a: int, b: int) -> tuple[int, int]:
         num = self.lead
@@ -398,14 +428,26 @@ class IntegerModel:
 
         Each value is checked before it is yielded: with track, a return to the
         start or to an earlier value raises PreperiodicPoint, then a numerator
-        or denominator longer than digit_budget decimal digits raises
-        DigitBudgetExceeded.  Both carry the partial result the caller fills.
+        or denominator of more than int(digit_budget / log10 2) + 1 bits
+        raises DigitBudgetExceeded.  That bit budget admits every value of up
+        to digit_budget decimal digits and some of digit_budget + 1 (a budget
+        of 1 digit admits 15).  Both exceptions carry the partial result the
+        caller fills.
+
+        A step is not computed when the current value fits the bit budget and
+        the size lemma already puts the next value past it: that value could
+        not repeat the start or an earlier value, all of which fit, so the
+        step raises DigitBudgetExceeded exactly as computing it would.
         """
         x = as_rational(start)
         a, b = x.numerator, x.denominator
         bit_budget = None if digit_budget is None else int(digit_budget / _LOG10_2) + 1
+        d = len(self.lower)
+        h = max(a.bit_length(), b.bit_length())
         seen = {(a, b)}
         for n in range(1, steps + 1):
+            if bit_budget is not None and h <= bit_budget < d * (h - 1) - self.drop:
+                break  # by the size lemma, step n cannot fit
             a, b = self(a, b)
             if track:
                 if a == x.numerator and b == x.denominator:
@@ -413,6 +455,10 @@ class IntegerModel:
                 if (a, b) in seen:
                     raise PreperiodicPoint(f"orbit value repeats at step {n}", n, partial)
                 seen.add((a, b))
-            if bit_budget is not None and max(a.bit_length(), b.bit_length()) > bit_budget:
-                raise DigitBudgetExceeded(f"orbit value at step {n} exceeds {digit_budget} digits", partial)
+            h = max(a.bit_length(), b.bit_length())
+            if bit_budget is not None and h > bit_budget:
+                break
             yield a, b
+        else:
+            return
+        raise DigitBudgetExceeded(f"orbit value at step {n} exceeds {digit_budget} digits", partial)

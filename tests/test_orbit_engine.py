@@ -2,10 +2,13 @@
 oracles: the orbit loops the engine replaced, kept here verbatim in spirit.
 
 Orbit pairs, the step and message of a preperiodicity or budget stop, and
-every report built on an orbit must come out identical.
+every report built on an orbit must come out identical.  The engine's size
+lemma is checked on its own, and step counts show that a budget stop builds
+no value past the budget.
 """
 
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 
@@ -225,8 +228,93 @@ budgets = st.integers(3, 400)
 @example(Polynomial([-1, 0, 1]), Fraction(0), 5, None, True)  # returns to the start
 @example(Polynomial([0, 0, 1]), Fraction(-1), 5, None, True)  # repeats
 @example(Polynomial([Fraction(1, 7), 0, 1]), Fraction(1, 3), 4, 3, False)  # only the denominator outgrows
+# z^2 / 2^20 fixes 2^20, a start past the 4-bit budget whose step-1 lower
+# bound (16 bits) is past it too: step 1 is still computed, so track sees the
+# return to the start
+@example(Polynomial([0, 0, Fraction(1, 2**20)]), Fraction(2**20), 3, 1, True)
+@example(Polynomial([0, 0, Fraction(1, 2**20)]), Fraction(2**20), 3, 1, False)
+# undecided band: step 5 has the lower bound 107 bits under the budget of 110
+# bits, so it is computed, and comes out at 116
+@example(Polynomial([Fraction(1, 3), 0, 1]), Fraction(2, 7), 6, 33, True)
 def test_engine_orbit_matches_fraction_horner(phi, start, N, digit_budget, track):
     assert engine_orbit(phi, start, N, digit_budget, track) == oracle_orbit(phi, start, N, digit_budget, track)
+
+
+# --- the size lemma -----------------------------------------------------------------------
+
+# products of powers of small primes: leading coefficients, denominators and
+# the b of a pair draw from the same primes, so the reduction divides out a lot
+prime_powers = st.lists(st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(1, 60)), max_size=3).map(
+    lambda pes: prod(p**e for p, e in pes)
+)
+
+
+@st.composite
+def wide_maps(draw):
+    """Degree 2-6 maps with rational and zero coefficients, often with a large
+    |f_d| and L made of small primes."""
+
+    def coefficient():
+        num = draw(st.one_of(prime_powers, st.integers(1, 10**30)))
+        den = draw(st.one_of(prime_powers, st.integers(1, 10**12)))
+        return Fraction(draw(st.sampled_from((-1, 1))) * num, den)
+
+    d = draw(st.integers(2, 6))
+    lower = [coefficient() if draw(st.booleans()) else Fraction(0) for _ in range(d)]
+    return Polynomial(lower + [coefficient()])
+
+
+@st.composite
+def coprime_pairs(draw):
+    """(a, b) with b > 0 coprime to a, up to about 200 digits, with b often
+    divisible by high powers of small primes."""
+    b = draw(prime_powers) * draw(st.integers(1, 10**100))
+    a = draw(st.one_of(st.integers(-1000, 1000), st.integers(-(10**200), 10**200)))
+    if a == 0:
+        return 0, 1
+    while (g := gcd(a, b)) > 1:
+        a //= g
+    return a, b
+
+
+def _bits(a, b):
+    return max(a.bit_length(), b.bit_length())
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_maps(), coprime_pairs())
+# 2^60 z^2 at 1/2^30 is 1: the gcd takes out all of f_d = b^2
+@example(Polynomial([0, 0, 2**60]), (1, 2**30))
+def test_size_lemma_bounds_every_step(phi, pair):
+    model = IntegerModel(phi)
+    a, b = pair
+    assert _bits(*model(a, b)) >= phi.degree * (_bits(a, b) - 1) - model.drop
+
+
+def _count_steps(monkeypatch):
+    calls = [0]
+    step = IntegerModel.__call__
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return step(self, a, b)
+
+    monkeypatch.setattr(IntegerModel, "__call__", counted)
+    return calls
+
+
+def test_truncated_height_builds_no_value_past_the_budget(monkeypatch):
+    calls = _count_steps(monkeypatch)
+    est = canonical_height(Polynomial([Fraction(1, 3), 0, 1]), Fraction(2, 7), 1e-9)
+    assert est.truncated
+    assert calls[0] == est.iterations
+
+
+def test_budget_stopped_sequence_builds_no_value_past_the_budget(monkeypatch):
+    calls = _count_steps(monkeypatch)
+    with pytest.raises(DigitBudgetExceeded) as info:
+        build_sequence(Polynomial([1, 0, 1]), 0, 30, digit_budget=20_000)
+    assert calls[0] == len(info.value.partial.records)
 
 
 @SETTINGS

@@ -191,3 +191,33 @@ def test_height_reports_match_pinned_digests(command, args, fmt, digest):
     code, report, _ = run_subcommand(command, dict(args), RunConfig(fmt=fmt))
     assert code == 0
     assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+# sha256 of reports whose orbit stops at the digit budget, as printed before
+# the engine stopped at the overflowing step without computing it: the
+# family check exits 3 when its growth orbit stops at step 6, and both heights
+# are truncated, the quartic at the default budget of 1e5 digits
+PINNED_BUDGET_STOPS = [
+    ("family-check", dict(factors="(z^3+2*z+3)^2*(z+5)^3", n=6), {}, 3, {
+        "json": "4874178c89231be6b4784d6853878136e74e80c09a17f3594a0d1f3657e8c553",
+        "text": "b5fb371b9c48feb17157d6b690b0e89c2153b1285e132c5e068378d142411c4b",
+    }),
+    ("heights", dict(poly="z^4+1/5*z", alpha="2"), {"tol": 1e-12}, 0, {
+        "json": "7ac705084e84b280314ba8c627eaaaa66ee8e12b7c502f4e99fd048056820049",
+        "text": "f402d263cc3d57407b42e9e078e0c35ea83c3afc46480aff3c6654e341eec1c1",
+    }),
+    ("heights", dict(poly="z^3-1/2", alpha="3/5"), {"tol": 1e-6, "digit_budget": 20_000}, 0, {
+        "json": "4d62b3636479915222ed5ddc2d370f9ed98a2cb4389c49e73224ef210f551845",
+        "text": "5ad512f08803f68ab6c531e4300161a8c8ac2ac76d1ade0d7a60085b17e0a555",
+    }),
+]
+
+
+@pytest.mark.parametrize(
+    "command, args, config, code, fmt, digest",
+    [(c, a, k, e, fmt, d) for c, a, k, e, digests in PINNED_BUDGET_STOPS for fmt, d in digests.items()],
+)
+def test_budget_stop_reports_match_pinned_digests(command, args, config, code, fmt, digest):
+    got, report, _ = run_subcommand(command, dict(args), RunConfig(fmt=fmt, **config))
+    assert got == code
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
