@@ -580,9 +580,12 @@ def _place_set(arg: Optional[str]) -> PlaceSet:
         if not part or part == "inf":
             continue
         try:
-            primes.append(int(part))
+            p = int(part)
         except ValueError:
             raise ParseError(f"invalid place {part!r}", 0) from None
+        if decimal_digits(p) > FactorBudget.rho_digit_limit:  # factor() runs no primality test above it
+            raise ParseError(f"place of more than {FactorBudget.rho_digit_limit} digits", 0)
+        primes.append(p)
     return PlaceSet.from_primes(primes)
 
 
@@ -741,7 +744,7 @@ def _cmd_powerful_check(args: dict, config: RunConfig):
     places = denominator_place_set(base_factors)
     result = {
         "poly": str(parsed.poly),
-        "is_powerful": is_powerful(parsed.poly),
+        "is_powerful": is_powerful(decomposition),
         "squarefree_decomposition": [
             {"factor": str(q), "multiplicity": m} for q, m in decomposition
         ],
@@ -786,7 +789,7 @@ def _cmd_family_check(args: dict, config: RunConfig):
         ],
         "poly": str(phi),
         "classification": classification,
-        "is_powerful": is_powerful(phi),
+        "is_powerful": True,  # family_build accepts only exponents >= 2
     }
     warnings: list[str] = []
     if classification == "wandering":

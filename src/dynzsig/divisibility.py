@@ -14,10 +14,12 @@ thousands of digits.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt, prod
-from typing import TYPE_CHECKING, Iterable, MutableMapping, Optional
+from typing import TYPE_CHECKING, Iterable, MutableMapping, Optional, Sequence
 
 if TYPE_CHECKING:
     from .heights import PlaceSet
@@ -60,9 +62,10 @@ _CHUNK = 1024
 
 
 @lru_cache(maxsize=8)
-def _prime_chunks(bound: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _prime_chunks(bound: int) -> tuple[tuple[Sequence[int], int], ...]:
     """Primes below bound (just 2 when bound is 2) grouped into chunks with
-    their products, for gcd-based trial division."""
+    their products, for gcd-based trial division.  Arrays hold the primes,
+    8 bytes each where a tuple of ints takes 36: 0.8 MB, not 3 MB, at 10^6."""
     if bound < 3:
         return (((2,), 2),) if bound == 2 else ()
     sieve = bytearray([1]) * bound
@@ -70,9 +73,9 @@ def _prime_chunks(bound: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     for p in range(2, isqrt(bound - 1) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, bound, p)))
-    primes = [i for i, alive in enumerate(sieve) if alive]
+    primes = array("L", compress(range(bound), sieve))
     return tuple(
-        (tuple(group), prod(group))
+        (group, prod(group))
         for group in (primes[i : i + _CHUNK] for i in range(0, len(primes), _CHUNK))
     )
 

@@ -246,8 +246,8 @@ def conjugate(phi: Polynomial, alpha: Coefficient) -> Polynomial:
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd over Q (gcd(f, 0) = monic f; gcd(0, 0) = 0)."""
     a, b = f, g
-    while not b.is_zero:
-        a, b = b, a % b
+    while not b.is_zero:  # monic remainders keep the coefficients small (Brown 1971)
+        a, b = b, (a % b).monic()
     return a.monic()
 
 
@@ -255,10 +255,11 @@ def squarefree_decomposition(f: Polynomial) -> list[tuple[Polynomial, int]]:
     """Yun decomposition f = c * prod q_i^{m_i} with q_i monic, squarefree,
     pairwise coprime, and multiplicities strictly increasing.
 
-    c is f's leading coefficient.  Requires deg f >= 1.
+    c is f's leading coefficient; a nonzero constant is the empty product [].
+    The zero polynomial raises ValueError.
     """
-    if f.degree < 1:
-        raise ValueError("squarefree_decomposition requires degree >= 1")
+    if f.is_zero:
+        raise ValueError("the zero polynomial has no squarefree decomposition")
     f = f.monic()
     df = f.derivative()
     a = poly_gcd(f, df)
@@ -278,11 +279,10 @@ def squarefree_decomposition(f: Polynomial) -> list[tuple[Polynomial, int]]:
     return out
 
 
-def is_powerful(f: Polynomial) -> bool:
-    """True iff deg f >= 2 and every squarefree factor divides f at least twice."""
-    if f.degree < 2:
-        return False
-    return all(mult >= 2 for _, mult in squarefree_decomposition(f))
+def is_powerful(decomposition: list[tuple[Polynomial, int]]) -> bool:
+    """True iff the squarefree decomposition of a nonconstant polynomial has
+    every multiplicity at least 2: every squarefree factor divides it twice."""
+    return bool(decomposition) and all(mult >= 2 for _, mult in decomposition)
 
 
 class ProjPoint:

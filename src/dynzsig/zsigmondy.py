@@ -19,10 +19,10 @@ reduced by gcds with the small k = L |f_d| alone since F(a, b) = f_d a^d
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .divisibility import (
     DEFAULT_BUDGET,
@@ -237,6 +237,15 @@ class BoundInputs:
         for v in (self.h_reversed, self.hhat0, self.comparison_bound, self.gamma):
             if not math.isfinite(v):
                 raise ValueError("bound inputs must be finite")
+        # the float steps of zsigmondy_bound that can overflow
+        if 2 * self.s_size >= sys.float_info.max_exp:
+            raise ValueError("s_size too large: 4^s_size overflows a float")
+        if not math.isfinite(8.0 * self.comparison_bound / self.hhat0):
+            raise ValueError("B / hhat0 too large: the startup threshold overflows")
+        try:
+            float(3 * self.d - 7)
+        except OverflowError:
+            raise ValueError("d too large: 3d - 7 overflows a float") from None
 
 
 @dataclass(frozen=True)
@@ -360,27 +369,15 @@ def zsigmondy_bound(inputs: BoundInputs) -> BoundBreakdown:
 # ---------------------------------------------------------------------------
 
 
-def _hhat0_for(seq: OrbitSequence, hhat0: Optional[HeightEstimate]) -> HeightEstimate:
-    if hhat0 is not None:
-        return hhat0
-    return canonical_height(seq.centered, 0, 1e-6)
-
-
-def _close_approach_band(seq: OrbitSequence, n: int, places: PlaceSet, hhat0: Optional[HeightEstimate]):
+def _close_approach_band(seq: OrbitSequence, n: int, places: PlaceSet, hhat0: HeightEstimate):
     """The local log-distance sum at index n, and d^n * hhat0 / 8 at both ends of its error band."""
-    hhat0 = _hhat0_for(seq, hhat0)
     rec = seq.record(n)
     lam = sum_local_at_infinity(ProjPoint(rec.ideal.B, rec.sign * rec.ideal.A), places)
     low = (hhat0.value - hhat0.error_bound) * seq.degree**n / 8.0
     return lam, low, (hhat0.value + hhat0.error_bound) * seq.degree**n / 8.0
 
 
-def is_close_approach(
-    seq: OrbitSequence,
-    n: int,
-    places: PlaceSet,
-    hhat0: Optional[HeightEstimate] = None,
-) -> bool:
+def is_close_approach(seq: OrbitSequence, n: int, places: PlaceSet, hhat0: HeightEstimate) -> bool:
     """True when the local log-distance sum to the starting point at the given
     places reaches 1/8 of the canonical growth d^n * hhat0.
 
@@ -391,26 +388,15 @@ def is_close_approach(
     return lam >= low
 
 
-def close_approach_ambiguous(
-    seq: OrbitSequence,
-    n: int,
-    places: PlaceSet,
-    hhat0: Optional[HeightEstimate] = None,
-) -> bool:
+def close_approach_ambiguous(seq: OrbitSequence, n: int, places: PlaceSet, hhat0: HeightEstimate) -> bool:
     """True when the close-approach comparison falls inside the error band."""
     lam, low, high = _close_approach_band(seq, n, places, hhat0)
     return low <= lam < high
 
 
-def check_term_upper_bound(
-    seq: OrbitSequence,
-    n: int,
-    comparison_bound: float,
-    hhat0: Optional[HeightEstimate] = None,
-) -> bool:
+def check_term_upper_bound(seq: OrbitSequence, n: int, comparison_bound: float, hhat0: HeightEstimate) -> bool:
     """Check log A_n <= d^n * hhat0 + B, with the height estimate's error bound
     applied in the direction that avoids spurious failures."""
-    hhat0 = _hhat0_for(seq, hhat0)
     rec = seq.record(n)
     rhs = seq.degree**n * (hhat0.value + hhat0.error_bound) + comparison_bound
     return log_int(rec.ideal.A) <= rhs + 1e-12 * max(1.0, abs(rhs))
@@ -421,7 +407,7 @@ def check_term_lower_bound(
     n: int,
     places: PlaceSet,
     comparison_bound: float,
-    hhat0: Optional[HeightEstimate] = None,
+    hhat0: HeightEstimate,
 ) -> bool:
     """Check (3/4) * hhat0 * d^n < log of the prime-to-S norm of A_n for
     indices outside the startup set and the empirical close-approach set.
@@ -429,7 +415,6 @@ def check_term_lower_bound(
     Close-approach indices are excluded by their exact empirical test, which
     keeps the check independent of the non-constructive gamma constant.
     """
-    hhat0 = _hhat0_for(seq, hhat0)
     h_low = max(hhat0.value - hhat0.error_bound, 1e-15)
     if startup_predicate(seq.degree, comparison_bound, h_low, n):
         return True
@@ -652,9 +637,9 @@ def valuation_stability_check(
     Failures are listed, never raised; primes hidden in unfactored cofactors
     are reported as untested.
     """
-    if not is_powerful(phi):
+    if phi.is_zero or not is_powerful(decomposition := squarefree_decomposition(phi)):
         raise HypothesisViolated("map is not powerful")
-    E = max(mult for _, mult in squarefree_decomposition(phi))
+    E = max(mult for _, mult in decomposition)
 
     values: list[tuple[int, int]] = []  # the orbit as coprime pairs (a, b)
     try:

@@ -21,6 +21,7 @@ from dynzsig.cli import (
     run_subcommand,
 )
 from dynzsig.divisibility import Factorization, factor
+from dynzsig.heights import PlaceSet
 from dynzsig.ratfield import Polynomial
 
 Z = Polynomial.identity()
@@ -290,6 +291,77 @@ def test_n_below_one_is_a_usage_error(argv, n, capsys):
     assert code == 2
     assert json.loads(captured.out)["result"]["error"].endswith("requires N >= 1")
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([*_BOUND_ARGV[:-1], "600"], "s_size too large"),  # 4.0**s_size overflows
+        (["--d", "3", "--B", "1e300", "--hhat", "1e-10", *_BOUND_ARGV[6:]], "B / hhat0 too large"),
+        (["--d", str(10**309), *_BOUND_ARGV[2:]], "d too large"),  # no float conversion
+        ([*_BOUND_ARGV, "--poly", "z^3+1", "--places", "3," + "1" * 301], "more than 300 digits"),
+        ([*_BOUND_ARGV, "--poly", "z^3+1", "--places", str(10**1998 + 1)], "more than 300 digits"),
+    ],
+)
+def test_oversized_bound_inputs_are_usage_errors(argv, message, capsys):
+    # the first three once exited 4 with an OverflowError, and a place of
+    # 1,999 digits ran Miller-Rabin for most of a second before its refusal
+    code = main(["bound", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*_BOUND_ARGV[:-1], "511"],
+        ["--d", "3", "--B", "1e300", "--hhat", "1e-7", *_BOUND_ARGV[6:]],
+        ["--d", str(int(sys.float_info.max) // 3), *_BOUND_ARGV[2:]],
+        [*_BOUND_ARGV, "--poly", "z^3+1", "--n", "3", "--places", f"3,{2**607 - 1}"],
+    ],
+)
+def test_largest_bound_inputs_still_evaluate(argv, capsys):
+    assert main(["bound", *argv]) == 0
+    capsys.readouterr()
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """The polynomials squarefree_decomposition is called on, wrapped in
+    every module that binds it."""
+    from dynzsig import ratfield, zsigmondy
+
+    calls = []
+    original = ratfield.squarefree_decomposition
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    for owner in (cli, ratfield, zsigmondy):
+        monkeypatch.setattr(owner, "squarefree_decomposition", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command, args, count",
+    [
+        ("powerful-check", {"poly": "(z+2)^2*(z+3)^2"}, 1),
+        ("powerful-check", {"poly": "z^2+1"}, 1),
+        ("family-check", {"factors": "(z+2)^2*(z+3)^2", "n": 3}, 1),  # wandering
+        ("family-check", {"factors": "z^2*(z+3)^2"}, 0),  # fixed
+    ],
+)
+def test_each_request_decomposes_at_most_once(command, args, count, decompositions):
+    assert run(command, **args)[0] == 0
+    assert len(decompositions) == count
+
+
+def test_valuation_stability_check_decomposes_once(decompositions):
+    phi = parse_poly("(z+2)^2*(z+3)^2").poly
+    assert cli.valuation_stability_check(phi, PlaceSet(), 2).ok
+    assert decompositions == [phi]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -4,6 +4,12 @@ from math import gcd
 
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the sympy differential below needs hypothesis
+    st = None
+
 from dynzsig.ratfield import (
     DigitBudgetExceeded,
     IntegerModel,
@@ -192,11 +198,60 @@ def test_squarefree_reconstructs_and_factors_are_coprime():
 
 
 def test_is_powerful_examples():
-    assert is_powerful((Z + 2) ** 2 * (Z + 3) ** 2)
-    assert not is_powerful(Polynomial([1, 0, 1]))
-    assert is_powerful(Z**3)
-    assert not is_powerful(Z)  # degree below 2
-    assert not is_powerful(Polynomial([7]))
+    def powerful(f):
+        return is_powerful(squarefree_decomposition(f))
+
+    assert powerful((Z + 2) ** 2 * (Z + 3) ** 2)
+    assert not powerful(Polynomial([1, 0, 1]))
+    assert powerful(Z**3)
+    assert not powerful(Z)  # degree below 2
+    assert not powerful(Polynomial([7]))
+
+
+def test_squarefree_constant_is_the_empty_product():
+    assert squarefree_decomposition(Polynomial([7])) == []
+    assert squarefree_decomposition(Polynomial([Fraction(-2, 3)])) == []
+    with pytest.raises(ValueError):
+        squarefree_decomposition(Polynomial.zero())
+
+
+def test_squarefree_many_rational_roots():
+    # Euclid with non-monic remainders took over a second on this product
+    f = Polynomial.one()
+    for k in range(1, 31):
+        f = f * Polynomial([Fraction(k, k + 1), 1])
+    assert squarefree_decomposition(f) == [(f.monic(), 1)]
+
+
+if st is not None:
+    small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+    @st.composite
+    def powers(draw):
+        """c * prod b_i^e_i with bases of degree 1 or 2; no bases gives a constant."""
+        c = draw(small_rationals.filter(bool))
+        f = Polynomial([c])
+        for _ in range(draw(st.integers(0, 3))):
+            lower = draw(st.lists(small_rationals, min_size=1, max_size=2))
+            base = Polynomial(lower + [draw(small_rationals.filter(bool))])
+            f = f * base ** draw(st.integers(1, 4))
+        return f
+
+    @settings(max_examples=150, deadline=None)
+    @given(powers())
+    def test_squarefree_matches_sympy(f):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)]
+        _, expected = sympy.Poly(coeffs, x, domain=sympy.QQ).sqf_list()
+        by_mult = {}
+        for q, m in expected:  # the monic product of the factors of each multiplicity
+            by_mult[m] = by_mult.get(m, sympy.Poly(1, x, domain=sympy.QQ)) * q.monic()
+        decomposition = squarefree_decomposition(f)
+        assert {m: Polynomial(reversed(by_mult[m].all_coeffs())) for m in by_mult} == dict(
+            (m, q) for q, m in decomposition
+        )
+        assert is_powerful(decomposition) == (bool(expected) and all(m >= 2 for _, m in expected))
 
 
 # --- reverse_map -----------------------------------------------------------

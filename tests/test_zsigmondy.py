@@ -5,14 +5,14 @@ from fractions import Fraction
 import pytest
 
 try:
-    from hypothesis import HealthCheck, example, given, settings
+    from hypothesis import HealthCheck, assume, example, given, settings
     from hypothesis import strategies as st
 except ImportError:  # the split differential below needs hypothesis
     st = None
 
 from dynzsig.divisibility import FactorBudget, decimal_digits, primitive_split
 from dynzsig.heights import PlaceSet, canonical_height, height_comparison_bound, map_height
-from dynzsig.ratfield import IntegerModel, Polynomial
+from dynzsig.ratfield import IntegerModel, Polynomial, is_powerful, squarefree_decomposition
 from dynzsig.zsigmondy import (
     BoundInputs,
     DigitBudgetExceeded,
@@ -391,6 +391,28 @@ def test_family_build_rejects_low_exponent():
         family_build(spec)
 
 
+if st is not None:
+
+    @st.composite
+    def family_specs(draw):
+        """2-3 factors (z * inner + offset)^e, inner of degree <= 2, e in 2..4."""
+        factors = []
+        for _ in range(draw(st.integers(2, 3))):
+            inner = Polynomial(draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3)))
+            factors.append(FamilyFactor(inner, draw(st.integers(-5, 5)), draw(st.integers(2, 4))))
+        return FamilySpec(tuple(factors))
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(family_specs())
+    def test_accepted_family_maps_are_powerful(spec):
+        # family-check prints "is_powerful": true without decomposing
+        try:
+            phi = family_build(spec)
+        except HypothesisViolated:
+            assume(False)
+        assert is_powerful(squarefree_decomposition(phi))
+
+
 def test_fixed_or_wandering():
     assert fixed_or_wandering(PAIR_FAMILY) == "wandering"
     fixed = FamilySpec(
@@ -459,8 +481,10 @@ def test_valuation_stability_pair_family():
 
 
 def test_valuation_stability_requires_powerful():
-    with pytest.raises(HypothesisViolated):
-        valuation_stability_check(SQUARE_PLUS_ONE, S_INF, 3)
+    # constants, the zero map and maps with a simple factor included
+    for phi in (SQUARE_PLUS_ONE, Polynomial([7]), Polynomial.zero(), Z, Z**2 * (Z + 1)):
+        with pytest.raises(HypothesisViolated, match="map is not powerful"):
+            valuation_stability_check(phi, S_INF, 3)
 
 
 def test_valuation_stability_flags_denominators_outside_s():
