@@ -304,7 +304,7 @@ def parse_rational(text: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-# the trial-division sieve takes trial_bound bytes plus a list of the primes below it
+# the trial-division sieve takes trial_bound bytes, and its primes are kept in array("L") chunks
 _MAX_TRIAL_BOUND = 10**7
 
 
@@ -335,12 +335,13 @@ class RunConfig:
 
 
 class FactorCache:
-    """Append-only JSON-lines factor cache keyed by the decimal composite.
+    """Append-only JSON-lines cache of complete factorizations, keyed by the
+    decimal composite.
 
-    Complete entries are immutable; partial entries may be upgraded by a
-    later store but never downgraded.  Corrupt lines are skipped with a
-    warning.  A writer holds an exclusive flock on the cache file while it
-    appends; readers take no lock.
+    A partial factorization is never stored, and a partial line written by an
+    older version is skipped without a warning; corrupt lines are skipped with
+    one.  The first complete line for a composite wins.  A writer holds an
+    exclusive flock on the cache file while it appends; readers take no lock.
     """
 
     def __init__(self, path: str):
@@ -359,44 +360,31 @@ class FactorCache:
                     continue
                 try:
                     raw = json.loads(line)
-                    composite = int(raw["composite"])
-                    factors = {int(p): int(e) for p, e in raw["factors"]}
-                    complete = bool(raw["complete"])
-                    cofactor = composite
-                    for p, e in factors.items():
-                        cofactor //= p**e
-                    fact = Factorization(factors, 1 if complete else cofactor)
+                    # a line missing a key warns, whatever its flag says
+                    text, pairs = raw["composite"], raw["factors"]
+                    if not raw["complete"]:
+                        continue
+                    composite = int(text)
+                    fact = Factorization({int(p): int(e) for p, e in pairs})
                     if fact.reconstruct() != composite:
                         raise ValueError("reconstruction mismatch")
                 except (KeyError, ValueError, TypeError) as exc:
                     self.warnings.append(f"cache line {lineno} skipped: {exc}")
                     continue
-                current = self.entries.get(composite)
-                if current is None or (not current.complete and fact.complete):
-                    self.entries[composite] = fact
+                self.entries.setdefault(composite, fact)
 
     def get(self, n: int) -> Optional[Factorization]:
         hit = self.entries.get(n)
-        if hit is None:
-            return None
-        return Factorization(dict(hit.factors), hit.cofactor)
+        return None if hit is None else Factorization(dict(hit.factors))
 
-    def __setitem__(self, n: int, fact: Factorization):
-        self.store(n, fact)
-
-    def store(self, n: int, fact: Factorization) -> Factorization:
-        current = self.entries.get(n)
-        if current is not None and (current.complete or not fact.complete):
-            return current
-        self.entries[n] = Factorization(dict(fact.factors), fact.cofactor)
-        self._append(n, fact)
-        return self.entries[n]
-
-    def _append(self, n: int, fact: Factorization):
+    def store(self, n: int, fact: Factorization) -> None:
+        if not fact.complete or n in self.entries:
+            return
+        self.entries[n] = Factorization(dict(fact.factors))
         record = {
             "composite": str(n),
             "factors": [[str(p), e] for p, e in sorted(fact.factors.items())],
-            "complete": fact.complete,
+            "complete": True,
         }
         # the kernel drops the lock when the file closes or the writer dies
         with open(self.path, "a", encoding="utf-8") as fh:

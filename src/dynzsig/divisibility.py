@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, prod
-from typing import TYPE_CHECKING, Iterable, MutableMapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
+    from .cli import FactorCache
     from .heights import PlaceSet
 
 # Deterministic Miller-Rabin witness set: proves primality below
@@ -173,7 +174,7 @@ def _brent_rho(n: int, rounds: int, seed: int) -> int:
 def factor(
     n: int,
     budget: FactorBudget = DEFAULT_BUDGET,
-    cache: Optional[MutableMapping[int, "Factorization"]] = None,
+    cache: Optional["FactorCache"] = None,
 ) -> Factorization:
     """Factor n >= 1 within the given budget.
 
@@ -181,17 +182,18 @@ def factor(
     budget.trial_bound, and a remainder below trial_bound**2, which is prime;
     Miller-Rabin and Pollard-Brent then handle what is left, up to
     rho_digit_limit digits.  Budget exhaustion is expressed through the
-    cofactor, never raised.
+    cofactor, never raised.  A cache is asked first and offered the result;
+    it decides what it keeps.
     """
     if n < 1:
         raise ValueError("factor requires n >= 1")
     if cache is not None:
         hit = cache.get(n)
-        if hit is not None and hit.complete:
-            return Factorization(dict(hit.factors), hit.cofactor)
+        if hit is not None:
+            return hit
     result = _factor_uncached(n, budget)
     if cache is not None:
-        cache[n] = Factorization(dict(result.factors), result.cofactor)
+        cache.store(n, result)
     return result
 
 
@@ -324,7 +326,7 @@ def valuation_table(
     terms: list[int],
     S: "PlaceSet",
     budget: FactorBudget = DEFAULT_BUDGET,
-    cache: Optional[MutableMapping[int, Factorization]] = None,
+    cache: Optional["FactorCache"] = None,
 ) -> tuple[dict[int, list[int]], list[int]]:
     """The valuations in every term of each prime outside S that factoring
     some term exposes, keyed in increasing order, and the sorted distinct
@@ -365,7 +367,7 @@ def rigid_check(
     sequence: list[int],
     S: "PlaceSet",
     budget: FactorBudget = DEFAULT_BUDGET,
-    cache: Optional[MutableMapping[int, Factorization]] = None,
+    cache: Optional["FactorCache"] = None,
 ) -> RigidReport:
     """Verify the rigid-divisibility conditions for every prime outside S that
     budget-limited factorization of the terms exposes.

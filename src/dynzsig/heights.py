@@ -78,15 +78,15 @@ class PlaceSet:
     __slots__ = ("places",)
 
     def __init__(self, places: Iterable[Place] = ()):
-        primes = sorted({pl.prime for pl in places if pl.prime is not None})
-        object.__setattr__(self, "places", (ARCHIMEDEAN, *(Place(p) for p in primes)))
+        finite = {pl.prime: pl for pl in places if pl.prime is not None}
+        object.__setattr__(self, "places", (ARCHIMEDEAN, *(finite[p] for p in sorted(finite))))
 
     def __setattr__(self, name, value):
         raise AttributeError("PlaceSet is immutable")
 
     @classmethod
     def from_primes(cls, primes: Iterable[int] = ()) -> "PlaceSet":
-        return cls(Place(p) for p in primes)
+        return cls(Place(p) for p in dict.fromkeys(primes))
 
     @property
     def finite_primes(self) -> tuple[int, ...]:

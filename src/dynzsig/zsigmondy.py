@@ -23,6 +23,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING, Optional
 
 from .divisibility import (
     DEFAULT_BUDGET,
@@ -54,6 +55,9 @@ from .ratfield import (
     is_powerful,
     squarefree_decomposition,
 )
+
+if TYPE_CHECKING:
+    from .cli import FactorCache
 
 
 class HypothesisViolated(Exception):
@@ -228,6 +232,8 @@ class BoundInputs:
             raise ValueError("bound requires degree >= 3")
         if not (self.hhat0 > 0):
             raise ValueError("bound requires a positive canonical height at 0")
+        if self.h_reversed < 0:
+            raise ValueError("htilde must be >= 0")
         if self.comparison_bound < 0:
             raise ValueError("comparison bound must be >= 0")
         if not (self.gamma > 0):
@@ -626,7 +632,7 @@ def valuation_stability_check(
     N: int,
     budget: FactorBudget = DEFAULT_BUDGET,
     digit_budget: int = 100_000,
-    cache=None,
+    cache: Optional["FactorCache"] = None,
 ) -> ValuationStabilityReport:
     """For every prime p outside S exposed by budget-limited factorization of
     the orbit numerators: verify the valuation is constant along multiples of

@@ -326,6 +326,14 @@ def test_largest_bound_inputs_still_evaluate(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("htilde, code", [("-0.5", 2), ("-2", 2), ("0", 0)])
+def test_htilde_must_not_be_negative(htilde, code, capsys):
+    # -0.5 once evaluated to M = 10.26, and -2 failed with "math domain error"
+    assert main(["bound", *_BOUND_ARGV[:7], htilde, *_BOUND_ARGV[8:]]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ("error: htilde must be >= 0\n" if code else "")
+
+
 @pytest.fixture
 def decompositions(monkeypatch):
     """The polynomials squarefree_decomposition is called on, wrapped in
@@ -541,8 +549,12 @@ def test_cache_round_trip(tmp_path):
     path = str(tmp_path / "factors.jsonl")
     cache = FactorCache(path)
     fact = factor(458330)
-    stored = cache.store(458330, fact)
-    assert stored.factors == fact.factors
+    cache.store(458330, fact)
+    assert cache.get(458330).factors == fact.factors
+    # the line format older versions read
+    assert Path(path).read_text() == (
+        '{"complete": true, "composite": "458330", "factors": [["2", 1], ["5", 1], ["45833", 1]]}\n'
+    )
     # a new handle reads it back without recomputation
     reread = FactorCache(path)
     hit = reread.get(458330)
@@ -554,19 +566,49 @@ def test_cache_miss_returns_none(tmp_path):
     assert cache.get(12345) is None
 
 
-def test_cache_upgrade_partial_entry(tmp_path):
-    path = str(tmp_path / "factors.jsonl")
-    cache = FactorCache(path)
-    partial = Factorization({2: 1}, 458330 // 2)
-    cache.store(458330, partial)
-    assert not cache.get(458330).complete
-    complete = factor(458330)
-    cache.store(458330, complete)
-    assert cache.get(458330).complete
-    # downgrades are ignored
-    cache.store(458330, partial)
-    assert cache.get(458330).complete
-    assert FactorCache(path).get(458330).complete
+def test_cache_does_not_store_partial_factorizations(tmp_path):
+    path = tmp_path / "factors.jsonl"
+    cache = FactorCache(str(path))
+    cache.store(458330, Factorization({2: 1}, 458330 // 2))
+    assert not path.exists()
+    assert cache.get(458330) is None
+
+
+def test_cache_skips_old_partial_lines_silently(tmp_path):
+    path = tmp_path / "factors.jsonl"
+    lines = [
+        {"composite": "458330", "factors": [["2", 1]], "complete": False},
+        {"composite": "10", "factors": [["2", 1]], "complete": False},
+        {"composite": "458330", "factors": [["2", 1], ["5", 1], ["45833", 1]], "complete": True},
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    cache = FactorCache(str(path))
+    assert cache.warnings == []
+    assert cache.get(10) is None
+    assert cache.get(458330).factors == {2: 1, 5: 1, 45833: 1}
+
+
+def test_cache_stores_a_composite_once(tmp_path):
+    path = tmp_path / "factors.jsonl"
+    cache = FactorCache(str(path))
+    cache.store(458330, factor(458330))
+    cache.store(458330, factor(458330))
+    assert len(path.read_text().splitlines()) == 1
+
+
+def test_cached_rigid_check_writes_only_complete_lines(tmp_path):
+    # a budget this small leaves two cofactors among the first 8 terms
+    path = tmp_path / "factors.jsonl"
+    budget = {"trial_bound": 1000, "rho_budget": 20}
+    args = {"poly": "z^2+1", "n": 8}
+    _, plain, _ = run("rigid-check", RunConfig(**budget), **args)
+    expected = json.loads(plain)["result"]
+    assert expected["untested_cofactors"]
+    for _ in range(2):  # the second run reads what the first stored
+        code, report, _ = run("rigid-check", RunConfig(cache_path=str(path), **budget), **args)
+        assert code == 0 and json.loads(report)["result"] == expected
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert records and all(r["complete"] is True for r in records)
 
 
 def test_cache_skips_corrupt_lines(tmp_path):

@@ -10,6 +10,7 @@ try:
 except ImportError:  # the oracle differentials below need hypothesis
     st = None
 
+from dynzsig import heights
 from dynzsig.divisibility import factor, prime_to_s_norm, valuation
 from dynzsig.heights import (
     ARCHIMEDEAN,
@@ -71,6 +72,14 @@ def test_place_set_always_contains_archimedean():
     assert s.finite_primes == (2, 5)
     assert len(s) == 3
     assert PlaceSet().finite_primes == ()
+
+
+def test_place_set_tests_each_prime_once(monkeypatch):
+    calls = []
+    original = heights.is_probable_prime
+    monkeypatch.setattr(heights, "is_probable_prime", lambda n: calls.append(n) or original(n))
+    assert PlaceSet.from_primes([5, 2, 3, 5]).finite_primes == (2, 3, 5)
+    assert sorted(calls) == [2, 3, 5]
 
 
 # --- weil and map heights ------------------------------------------------------
