@@ -28,7 +28,7 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -335,24 +335,38 @@ class RunConfig:
 
 
 class FactorCache:
-    """Append-only JSON-lines cache of complete factorizations, keyed by the
-    decimal composite.
+    """Append-only JSON-lines cache of factorizations, keyed by the decimal
+    composite.
 
-    A partial factorization is never stored, and a partial line written by an
-    older version is skipped without a warning; corrupt lines are skipped with
-    one.  The first complete line for a composite wins.  A writer holds an
-    exclusive flock on the cache file while it appends; readers take no lock.
+    A complete line, {"complete": true, "composite": ..., "factors": ...},
+    answers at any budget.  A partial line adds "budget", every FactorBudget
+    field, and answers only under that exact budget; its cofactor is not
+    written but recomputed on load as composite // prod(p^e).  Reuse is sound
+    because _factor_uncached is deterministic in (n, budget), so any change to
+    what it returns for a given budget must change the tag (a new
+    FactorBudget field does), and older lines then miss instead of answering.
+
+    A complete entry beats a partial one for the same composite; otherwise the
+    first line for a composite and tag wins.  A partial line without a budget,
+    written by older versions, is skipped without a warning, and so is a line
+    whose composite has more digits than the int->str limit: run_subcommand
+    sets that limit above the digit budget, so no term factored in the run
+    can match it.  Corrupt lines are skipped with a warning.  A writer holds
+    an exclusive flock on the cache file while it appends; readers take no
+    lock.
     """
 
     def __init__(self, path: str):
         self.path = path
-        self.entries: dict[int, Factorization] = {}
+        # keyed by (composite, None) when complete, (composite, budget tag) when partial
+        self.entries: dict[tuple[int, Optional[str]], Factorization] = {}
         self.warnings: list[str] = []
         self._load()
 
     def _load(self):
         if not os.path.exists(self.path):
             return
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
         with open(self.path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
@@ -361,35 +375,53 @@ class FactorCache:
                 try:
                     raw = json.loads(line)
                     # a line missing a key warns, whatever its flag says
-                    text, pairs = raw["composite"], raw["factors"]
-                    if not raw["complete"]:
+                    text, pairs, complete = raw["composite"], raw["factors"], raw["complete"]
+                    if (not complete and "budget" not in raw) or 0 < limit < len(text):
                         continue
                     composite = int(text)
                     fact = Factorization({int(p): int(e) for p, e in pairs})
-                    if fact.reconstruct() != composite:
-                        raise ValueError("reconstruction mismatch")
+                    if any(p < 2 or e < 1 for p, e in fact.factors.items()):
+                        raise ValueError("a factor below 2 or an exponent below 1")
+                    if complete:
+                        if fact.reconstruct() != composite:
+                            raise ValueError("reconstruction mismatch")
+                        tag = None
+                    else:
+                        fact.cofactor, rest = divmod(composite, fact.reconstruct())
+                        if rest or fact.cofactor < 2:
+                            raise ValueError("the factors leave no cofactor above 1")
+                        tag = _budget_tag(raw["budget"])
                 except (KeyError, ValueError, TypeError) as exc:
                     self.warnings.append(f"cache line {lineno} skipped: {exc}")
                     continue
-                self.entries.setdefault(composite, fact)
+                self.entries.setdefault((composite, tag), fact)
 
-    def get(self, n: int) -> Optional[Factorization]:
-        hit = self.entries.get(n)
-        return None if hit is None else Factorization(dict(hit.factors))
+    def get(self, n: int, budget: FactorBudget) -> Optional[Factorization]:
+        hit = self.entries.get((n, None)) or self.entries.get((n, _budget_tag(asdict(budget))))
+        return None if hit is None else Factorization(dict(hit.factors), hit.cofactor)
 
-    def store(self, n: int, fact: Factorization) -> None:
-        if not fact.complete or n in self.entries:
+    def store(self, n: int, fact: Factorization, budget: FactorBudget) -> None:
+        budget_fields = None if fact.complete else asdict(budget)
+        key = (n, None if budget_fields is None else _budget_tag(budget_fields))
+        if (n, None) in self.entries or key in self.entries:
             return
-        self.entries[n] = Factorization(dict(fact.factors))
+        self.entries[key] = Factorization(dict(fact.factors), fact.cofactor)
         record = {
             "composite": str(n),
             "factors": [[str(p), e] for p, e in sorted(fact.factors.items())],
-            "complete": True,
+            "complete": fact.complete,
         }
+        if budget_fields is not None:
+            record["budget"] = budget_fields
         # the kernel drops the lock when the file closes or the writer dies
         with open(self.path, "a", encoding="utf-8") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)
             fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def _budget_tag(budget: dict) -> str:
+    """A partial line's budget as canonical JSON: equal tags, equal budgets."""
+    return json.dumps(budget, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -188,12 +188,12 @@ def factor(
     if n < 1:
         raise ValueError("factor requires n >= 1")
     if cache is not None:
-        hit = cache.get(n)
+        hit = cache.get(n, budget)
         if hit is not None:
             return hit
     result = _factor_uncached(n, budget)
     if cache is not None:
-        cache.store(n, result)
+        cache.store(n, result, budget)
     return result
 
 

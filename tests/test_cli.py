@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 import time
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +21,13 @@ from dynzsig.cli import (
     parse_rational,
     run_subcommand,
 )
-from dynzsig.divisibility import Factorization, factor
+from dynzsig.divisibility import (
+    DEFAULT_BUDGET,
+    FactorBudget,
+    Factorization,
+    _factor_uncached,
+    factor,
+)
 from dynzsig.heights import PlaceSet
 from dynzsig.ratfield import Polynomial
 
@@ -549,29 +556,95 @@ def test_cache_round_trip(tmp_path):
     path = str(tmp_path / "factors.jsonl")
     cache = FactorCache(path)
     fact = factor(458330)
-    cache.store(458330, fact)
-    assert cache.get(458330).factors == fact.factors
+    cache.store(458330, fact, DEFAULT_BUDGET)
+    assert cache.get(458330, DEFAULT_BUDGET).factors == fact.factors
     # the line format older versions read
     assert Path(path).read_text() == (
         '{"complete": true, "composite": "458330", "factors": [["2", 1], ["5", 1], ["45833", 1]]}\n'
     )
     # a new handle reads it back without recomputation
     reread = FactorCache(path)
-    hit = reread.get(458330)
+    hit = reread.get(458330, DEFAULT_BUDGET)
     assert hit is not None and hit.factors == {2: 1, 5: 1, 45833: 1}
 
 
 def test_cache_miss_returns_none(tmp_path):
     cache = FactorCache(str(tmp_path / "factors.jsonl"))
-    assert cache.get(12345) is None
+    assert cache.get(12345, DEFAULT_BUDGET) is None
 
 
-def test_cache_does_not_store_partial_factorizations(tmp_path):
+# the two primes of about 10^12 survive trial division below 1000 and any 21 rho rounds
+PARTIAL_N = 2 * 1000000000039 * 3000000000013
+SMALL = FactorBudget(trial_bound=1000, rho_rounds=20)
+
+
+def test_cache_stores_partial_factorizations_with_their_budget(tmp_path):
     path = tmp_path / "factors.jsonl"
     cache = FactorCache(str(path))
-    cache.store(458330, Factorization({2: 1}, 458330 // 2))
-    assert not path.exists()
-    assert cache.get(458330) is None
+    fact = Factorization({2: 1}, 458330 // 2)
+    cache.store(458330, fact, SMALL)
+    assert cache.get(458330, SMALL) == fact
+    assert json.loads(path.read_text()) == {
+        "budget": {"rho_digit_limit": 300, "rho_rounds": 20, "seed": 1, "trial_bound": 1000},
+        "complete": False,
+        "composite": "458330",
+        "factors": [["2", 1]],
+    }
+    # the cofactor is not written: a new handle recomputes it
+    assert FactorCache(str(path)).get(458330, SMALL) == fact
+
+
+def test_cache_partial_entry_answers_only_its_budget(tmp_path):
+    path = str(tmp_path / "factors.jsonl")
+    cold = factor(PARTIAL_N, SMALL, FactorCache(path))
+    assert not cold.complete
+    reread = FactorCache(path)
+    assert reread.warnings == []
+    assert reread.get(PARTIAL_N, SMALL) == cold
+    for change in ({"seed": 2}, {"rho_rounds": 21}, {"trial_bound": 999}, {"rho_digit_limit": 30}):
+        other = replace(SMALL, **change)
+        assert reread.get(PARTIAL_N, other) is None, change
+        # a miss recomputes at the new budget, and stores that too
+        assert factor(PARTIAL_N, other, reread) == _factor_uncached(PARTIAL_N, other)
+        assert reread.get(PARTIAL_N, other) is not None
+    assert len(Path(path).read_text().splitlines()) == 5
+
+
+def test_cache_complete_line_beats_partial_line(tmp_path):
+    path = tmp_path / "factors.jsonl"
+    partial = {
+        "budget": asdict(DEFAULT_BUDGET),
+        "complete": False,
+        "composite": "458330",
+        "factors": [["2", 1]],
+    }
+    complete = {"complete": True, "composite": "458330", "factors": [["2", 1], ["5", 1], ["45833", 1]]}
+    for lines in ([partial, complete], [complete, partial]):
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        cache = FactorCache(str(path))
+        assert cache.warnings == []
+        assert cache.get(458330, DEFAULT_BUDGET) == Factorization({2: 1, 5: 1, 45833: 1})
+        # a partial result offered later writes nothing
+        cache.store(458330, Factorization({2: 1}, 229165), DEFAULT_BUDGET)
+        assert len(path.read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [["3", 1]],  # does not divide 458330
+        [["2", 1], ["5", 1], ["45833", 1]],  # leaves a cofactor of 1
+        [["2", -1]],
+        [["1", 1]],
+    ],
+)
+def test_cache_warns_on_tampered_partial_line(tmp_path, factors):
+    path = tmp_path / "factors.jsonl"
+    line = {"budget": asdict(DEFAULT_BUDGET), "complete": False, "composite": "458330", "factors": factors}
+    path.write_text(json.dumps(line) + "\n")
+    cache = FactorCache(str(path))
+    assert len(cache.warnings) == 1 and cache.warnings[0].startswith("cache line 1 skipped: ")
+    assert cache.get(458330, DEFAULT_BUDGET) is None
 
 
 def test_cache_skips_old_partial_lines_silently(tmp_path):
@@ -584,19 +657,19 @@ def test_cache_skips_old_partial_lines_silently(tmp_path):
     path.write_text("".join(json.dumps(line) + "\n" for line in lines))
     cache = FactorCache(str(path))
     assert cache.warnings == []
-    assert cache.get(10) is None
-    assert cache.get(458330).factors == {2: 1, 5: 1, 45833: 1}
+    assert cache.get(10, DEFAULT_BUDGET) is None
+    assert cache.get(458330, DEFAULT_BUDGET).factors == {2: 1, 5: 1, 45833: 1}
 
 
 def test_cache_stores_a_composite_once(tmp_path):
     path = tmp_path / "factors.jsonl"
     cache = FactorCache(str(path))
-    cache.store(458330, factor(458330))
-    cache.store(458330, factor(458330))
+    cache.store(458330, factor(458330), DEFAULT_BUDGET)
+    cache.store(458330, factor(458330), DEFAULT_BUDGET)
     assert len(path.read_text().splitlines()) == 1
 
 
-def test_cached_rigid_check_writes_only_complete_lines(tmp_path):
+def test_cached_rigid_check_reuses_partial_lines_at_its_budget(tmp_path):
     # a budget this small leaves two cofactors among the first 8 terms
     path = tmp_path / "factors.jsonl"
     budget = {"trial_bound": 1000, "rho_budget": 20}
@@ -608,7 +681,56 @@ def test_cached_rigid_check_writes_only_complete_lines(tmp_path):
         code, report, _ = run("rigid-check", RunConfig(cache_path=str(path), **budget), **args)
         assert code == 0 and json.loads(report)["result"] == expected
     records = [json.loads(line) for line in path.read_text().splitlines()]
-    assert records and all(r["complete"] is True for r in records)
+    partial = [r for r in records if r["complete"] is not True]
+    assert len(partial) == 2
+    tag = asdict(RunConfig(**budget).factor_budget())
+    assert all(r["budget"] == tag for r in partial)
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--seed", "2"), ("--rho-budget", "21"), ("--trial-bound", "999")]
+)
+def test_cli_recomputes_partial_lines_at_another_budget(tmp_path, capsys, option, value):
+    path = str(tmp_path / "factors.jsonl")
+    argv = ["rigid-check", "--poly", "z^2+1", "--n", "8", "--cache", path]
+    small = ["--trial-bound", "1000", "--rho-budget", "20"]
+    assert main(argv + small) == 0
+    lines = len(Path(path).read_text().splitlines())
+    assert main(argv + small) == 0
+    assert len(Path(path).read_text().splitlines()) == lines  # every lookup hit
+    other = small + [option, value]
+    capsys.readouterr()
+    assert main(argv + other) == 0
+    cached = capsys.readouterr().out
+    assert len(Path(path).read_text().splitlines()) > lines  # the other budget missed
+    assert main(argv[:-2] + other) == 0
+    # the report echoes its config, cache path included, so compare the results
+    assert json.loads(cached)["result"] == json.loads(capsys.readouterr().out)["result"]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int<->str limit")
+@pytest.mark.parametrize("digit_budget, loaded", [(1000, False), (5000, True)])
+def test_cache_line_over_the_int_str_limit_is_skipped_silently(tmp_path, digit_budget, loaded):
+    # run_subcommand limits int<->str conversion to max(10,000, 4 * digit budget) digits
+    path = tmp_path / "factors.jsonl"
+    big = 2**40000  # 12,042 digits
+    lines = [
+        {"complete": True, "composite": str(big), "factors": [["2", 40000]]},
+        {"budget": asdict(DEFAULT_BUDGET), "complete": False, "composite": str(big * 3), "factors": [["2", 1]]},
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    config = RunConfig(cache_path=str(path), digit_budget=digit_budget)
+    code, report, _ = run("rigid-check", config, poly="z^2+1", n=4)
+    assert code == 0 and json.loads(report)["warnings"] == []
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(max(10_000, 4 * digit_budget))
+    try:
+        cache = FactorCache(str(path))
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert cache.warnings == []
+    assert (cache.get(big, DEFAULT_BUDGET) is not None) is loaded
+    assert (cache.get(big * 3, DEFAULT_BUDGET) is not None) is loaded
 
 
 def test_cache_skips_corrupt_lines(tmp_path):
@@ -618,8 +740,8 @@ def test_cache_skips_corrupt_lines(tmp_path):
     )
     path.write_text("not json at all\n" + good + "\n{\"composite\": \"10\"}\n")
     cache = FactorCache(str(path))
-    assert cache.get(6).complete
-    assert cache.get(10) is None
+    assert cache.get(6, DEFAULT_BUDGET).complete
+    assert cache.get(10, DEFAULT_BUDGET) is None
     assert len(cache.warnings) == 2
 
 
@@ -643,9 +765,9 @@ def test_leftover_lock_file_does_not_delay_a_store(tmp_path):
     path = tmp_path / "factors.jsonl"
     (tmp_path / "factors.jsonl.lock").write_text("")
     start = time.perf_counter()
-    FactorCache(str(path)).store(458330, factor(458330))
+    FactorCache(str(path)).store(458330, factor(458330), DEFAULT_BUDGET)
     assert time.perf_counter() - start < 1.0
-    assert FactorCache(str(path)).get(458330).factors == {2: 1, 5: 1, 45833: 1}
+    assert FactorCache(str(path)).get(458330, DEFAULT_BUDGET).factors == {2: 1, 5: 1, 45833: 1}
 
 
 def test_store_waits_for_the_file_lock(tmp_path):
@@ -654,7 +776,7 @@ def test_store_waits_for_the_file_lock(tmp_path):
     cache = FactorCache(str(path))
     with open(path, "a") as holder:
         fcntl.flock(holder, fcntl.LOCK_EX)
-        writer = threading.Thread(target=cache.store, args=(458330, factor(458330)))
+        writer = threading.Thread(target=cache.store, args=(458330, factor(458330), DEFAULT_BUDGET))
         writer.start()
         writer.join(0.3)
         assert writer.is_alive()
@@ -665,7 +787,7 @@ def test_store_waits_for_the_file_lock(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 1
     reread = FactorCache(str(path))
-    assert reread.warnings == [] and reread.get(458330).complete
+    assert reread.warnings == [] and reread.get(458330, DEFAULT_BUDGET).complete
 
 
 @pytest.mark.parametrize("where", ["missing/factors.jsonl", "."])
@@ -681,7 +803,7 @@ def test_factor_uses_cache(tmp_path):
     path = str(tmp_path / "factors.jsonl")
     cache = FactorCache(path)
     wrong = Factorization({458330: 1}, 1)  # deliberately silly, but complete
-    cache.store(458330, wrong)
+    cache.store(458330, wrong, DEFAULT_BUDGET)
     hit = factor(458330, cache=cache)
     assert hit.factors == {458330: 1}  # came from the cache, not recomputed
 

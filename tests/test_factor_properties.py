@@ -1,9 +1,12 @@
 """Property tests of budgeted factorization: whatever the budget, factor()
 reconstructs its input, lists only probable primes, leaves no prime below
 the trial bound in the cofactor, and calls itself complete exactly when the
-cofactor is 1.
+cofactor is 1.  Through a factor cache it returns, cold, warm and after a
+reload, exactly what the budget computes without one.
 """
 
+import os
+import tempfile
 from functools import lru_cache
 from math import gcd, isqrt, prod
 
@@ -14,8 +17,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from dynzsig.cli import FactorCache  # noqa: E402
 from dynzsig.divisibility import (  # noqa: E402
     FactorBudget,
+    _factor_uncached,
     decimal_digits,
     factor,
     is_probable_prime,
@@ -67,3 +72,29 @@ def test_factor_properties(n, budget):
     # a cofactor within the digit limit is what rho failed on: never a prime
     if fa.cofactor > 1 and decimal_digits(fa.cofactor) <= budget.rho_digit_limit:
         assert not is_probable_prime(fa.cofactor)
+
+
+# budgets this small leave a cofactor on most products of three or more factors
+small_budgets = st.builds(
+    FactorBudget,
+    trial_bound=st.sampled_from([2, 50, 1000]),
+    rho_rounds=st.integers(1, 64),
+    rho_digit_limit=st.integers(5, 40),
+    seed=st.integers(1, 5),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=numbers, budget=small_budgets)
+@example(n=2 * 1000000000039 * 3000000000013, budget=FactorBudget(trial_bound=1000, rho_rounds=20))
+def test_cached_factor_equals_uncached(n, budget):
+    expected = _factor_uncached(n, budget)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "factors.jsonl")
+        cache = FactorCache(path)
+        assert factor(n, budget, cache) == expected  # cold: computed and stored
+        # warm, then read back from the file by a new handle
+        for held in (cache, FactorCache(path)):
+            assert held.warnings == []
+            assert held.get(n, budget) == expected
+            assert factor(n, budget, held) == expected
