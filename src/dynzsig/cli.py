@@ -9,12 +9,16 @@ integers are emitted as decimal strings so they survive any JSON consumer.
 
 An orbit report is built once, in the requested format: CSV rows carry digit
 counts only, so no term is converted to decimal for them.  For json and text,
-`_to_decimal` turns big integers into exact `Decimal`s: it splits them at the
-widths `_LEAF_BITS << k` and joins the halves with the `decimal` module's fast
-multiply, where `str(int)` takes quadratic time, and the powers of two it
-joins with are computed once per process.  Each orbit record converts its
-primitive part P and non-primitive part N and prints A as the exact product
-P * N, so no digit of A is converted twice.
+terms of at most `_LEAF_BITS` print with `str`; from the first longer term on,
+`_orbit_result` replays the orbit step, `IntegerModel.__call__`, on the
+previous record's exact `Decimal` pair, so a term's digits cost one step in
+the `decimal` module's fast multiply and no conversion from binary, and P is
+the exact quotient A / N.  Each replayed term must match its record modulo a
+word-size prime, or the report is an internal error that prints no digits.
+Other big integers go through `_decimal_str`, which above `_STR_BITS` calls
+`_to_decimal`: it splits them at the widths `_LEAF_BITS << k` and joins the
+halves with that fast multiply, where `str(int)` takes quadratic time, and
+the powers of two it joins with are computed once per process.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .heights import (
     sum_local_at_infinity,
     weil_height,
 )
-from .ratfield import Polynomial, ProjPoint, is_powerful, squarefree_decomposition
+from .ratfield import IntegerModel, Polynomial, ProjPoint, is_powerful, squarefree_decomposition
 from .zsigmondy import (
     BoundInputs,
     DigitBudgetExceeded,
@@ -439,12 +443,18 @@ def _real(x: float) -> str:
 # 10,000 digits) _decimal_str converts with _to_decimal, whose leaves of at
 # most _LEAF_BITS go through Decimal(int).  On 3.11, with the power table
 # warm, str and _to_decimal tie at 16,384-24,576 bits and _to_decimal is
-# 1.5x faster at 2**15 bits; leaves of 1024-16384 bits are within noise
+# 1.5x faster at 2**15 bits; leaves of 1024-16384 bits are within noise.
+# Orbit records use neither past _LEAF_BITS: _orbit_result replays the step.
 _STR_BITS = 1 << 15
 _LEAF_BITS = 4096
 
-# the converter's arithmetic is on integers: exact at any size, or it raises
+# the converter's and the replay's arithmetic is on integers: exact at any
+# size, or it raises
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+
+# the largest prime below 2**30: residues mod one word take the single-word
+# paths of both int and Decimal remainders
+_CHECK_PRIME = 2**30 - 35
 
 
 @functools.cache
@@ -549,26 +559,40 @@ def _orbit_rows(seq: OrbitSequence) -> list[tuple]:
 
 
 def _orbit_result(seq: OrbitSequence) -> dict:
-    records = []
-    for rec in seq.records:
-        # A = P * N exactly (build_sequence sets N = A // P), so A is the
-        # product of the two converted parts instead of a third conversion
-        p = _to_decimal(rec.split.primitive_part)
-        q = _to_decimal(rec.split.nonprimitive_part)
-        a, b = str(_EXACT.multiply(p, q)), _decimal_str(rec.ideal.B)
-        # as str(rec.value), without converting A and B again
-        value = ("-" if rec.sign < 0 else "") + (a if b == "1" else f"{a}/{b}")
-        records.append(
-            {
-                "n": rec.n,
-                "numerator_ideal": a,
-                "denominator_ideal": b,
-                "primitive_part": str(p),
-                "nonprimitive_part": str(q),
-                "has_primitive_divisor": rec.primitive,
-                "value": value,
-            }
-        )
+    """The records of an orbit report.  Terms of at most _LEAF_BITS print
+    with str; from the first longer one on, each record's digits come from
+    the orbit step replayed on the previous record's exact Decimal pair,
+    with P = A / N, and a term whose residue mod _CHECK_PRIME or remainder
+    disagrees with its record stops the report before printing it."""
+    records, pair, prev = [], None, (0, 1)
+    with decimal.localcontext(_EXACT):
+        for rec in seq.records:
+            A, B, N = rec.ideal.A, rec.ideal.B, rec.split.nonprimitive_part
+            if pair is None and max(A.bit_length(), B.bit_length()) <= _LEAF_BITS:
+                a, b, p, q = str(A), str(B), str(rec.split.primitive_part), str(N)
+                prev = (rec.sign * A, B)
+            else:
+                if pair is None:  # the first term past _LEAF_BITS
+                    model, pair = IntegerModel(seq.centered), map(decimal.Decimal, prev)
+                x, y = pair = model(*pair)
+                a, n, m = abs(x), _to_decimal(N), _CHECK_PRIME
+                p, r = divmod(a, n)
+                if r or (x < 0) != (rec.sign < 0) or (a % m, y % m) != (A % m, B % m):
+                    raise RuntimeError(f"orbit record {rec.n} disagrees with its replayed step")
+                a, b, p, q = str(a), str(y), str(p), str(n)
+            # as str(rec.value), without converting A and B again
+            value = ("-" if rec.sign < 0 else "") + (a if b == "1" else f"{a}/{b}")
+            records.append(
+                {
+                    "n": rec.n,
+                    "numerator_ideal": a,
+                    "denominator_ideal": b,
+                    "primitive_part": p,
+                    "nonprimitive_part": q,
+                    "has_primitive_divisor": rec.primitive,
+                    "value": value,
+                }
+            )
     return {
         "poly": str(seq.phi),
         "alpha": str(seq.alpha),
@@ -907,29 +931,30 @@ def _run(name: str, args: dict, config: RunConfig):
     warnings: list[str] = []
     diagnostics = ""
     try:
-        _require(args, *required)
-        result, rows, warnings = handler(args, config)
-    except (ParseError, ValueError, OSError) as exc:
-        result = {"error": str(exc)}
-        code = EXIT_USAGE
-        diagnostics = f"error: {exc}"
-    except HypothesisViolated as exc:
-        result = {"error": str(exc), "reason": exc.reason}
-        code = EXIT_HYPOTHESIS
-        diagnostics = f"hypothesis violated: {exc.reason}"
-    except PreperiodicPoint as exc:
-        result = {"error": str(exc), "reason": "preperiodic point"}
-        if isinstance(exc.partial, OrbitSequence):
-            result["partial"] = _orbit_result(exc.partial)
-        code = EXIT_HYPOTHESIS
-        diagnostics = f"hypothesis violated: {exc}"
-    except DigitBudgetExceeded as exc:
-        result = {"error": str(exc), "reason": "digit budget exceeded"}
-        if isinstance(exc.partial, OrbitSequence):
-            result["partial"], rows = _orbit_output(exc.partial, config.fmt)
-        code = EXIT_BUDGET
-        diagnostics = f"budget exhausted: {exc}"
-    except Exception as exc:  # a defect, reported in the same form as any failure
+        try:
+            _require(args, *required)
+            result, rows, warnings = handler(args, config)
+        except (ParseError, ValueError, OSError) as exc:
+            result = {"error": str(exc)}
+            code = EXIT_USAGE
+            diagnostics = f"error: {exc}"
+        except HypothesisViolated as exc:
+            result = {"error": str(exc), "reason": exc.reason}
+            code = EXIT_HYPOTHESIS
+            diagnostics = f"hypothesis violated: {exc.reason}"
+        except PreperiodicPoint as exc:
+            result = {"error": str(exc), "reason": "preperiodic point"}
+            if isinstance(exc.partial, OrbitSequence):
+                result["partial"] = _orbit_result(exc.partial)
+            code = EXIT_HYPOTHESIS
+            diagnostics = f"hypothesis violated: {exc}"
+        except DigitBudgetExceeded as exc:
+            result = {"error": str(exc), "reason": "digit budget exceeded"}
+            if isinstance(exc.partial, OrbitSequence):
+                result["partial"], rows = _orbit_output(exc.partial, config.fmt)
+            code = EXIT_BUDGET
+            diagnostics = f"budget exhausted: {exc}"
+    except Exception as exc:  # a defect, also in a partial result, reported as any failure
         where = traceback.extract_tb(exc.__traceback__)[-1]
         error = f"{type(exc).__name__}: {exc} (at {os.path.basename(where.filename)}:{where.lineno})"
         result = {"error": error, "reason": "internal error"}

@@ -364,8 +364,12 @@ class IntegerModel:
     Reduction lemma: F(a, b) = f_d * a^d (mod b), so a prime dividing both
     F(a, b) and L * b^d divides L, or divides b and hence f_d (it cannot
     divide a).  Every common factor lives on the primes of the small integer
-    k = L * |f_d|, and repeating t = gcd(gcd(den, k), num) until t = 1
-    reduces the pair without one big-by-big gcd.
+    k = L * |f_d|, and repeating t = gcd(den mod k, num mod k, k), which is
+    gcd(gcd(den, k), num), until t = 1 reduces the pair without one
+    big-by-big gcd.  Reading the reduction from residues mod k lets the same
+    step run on ints, as every orbit does, and on exact decimal.Decimal
+    pairs under a context that cannot round, as the report renderer replays
+    an orbit (Decimal's % keeps the dividend's sign, which gcd ignores).
 
     Size lemma: write bits(x) = x.bit_length() and H = max(|a|, b) for the
     input and H' = max(|a'|, b') for the output (a', b') = model(a, b).  Then
@@ -414,11 +418,11 @@ class IntegerModel:
         for c in self.lower:  # homogeneous Horner: bpow runs through b, ..., b^d
             bpow *= b
             num = num * a + c * bpow if c else num * a
-        den = self.scale * bpow
-        t = gcd(gcd(den, self.k), num)
+        den, k = self.scale * bpow, self.k
+        t = gcd(int(den % k), int(num % k), k)
         while t > 1:
             num, den = num // t, den // t
-            t = gcd(gcd(den, self.k), num)
+            t = gcd(int(den % k), int(num % k), k)
         return num, den
 
     def orbit(

@@ -2,8 +2,14 @@
 built once in the requested format, and pinned digests that keep orbit,
 height and bound reports byte-identical."""
 
+import decimal
 import hashlib
+import json
+import math
 import random
+import re
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,8 +22,14 @@ from hypothesis import strategies as st  # noqa: E402
 from dynzsig import cli  # noqa: E402
 from dynzsig.cli import RunConfig, run_subcommand  # noqa: E402
 from dynzsig.divisibility import IdealPair, PrimitiveSplit  # noqa: E402
-from dynzsig.ratfield import Polynomial  # noqa: E402
-from dynzsig.zsigmondy import OrbitRecord, OrbitSequence  # noqa: E402
+from dynzsig.ratfield import IntegerModel, Polynomial  # noqa: E402
+from dynzsig.zsigmondy import (  # noqa: E402
+    DigitBudgetExceeded,
+    OrbitRecord,
+    OrbitSequence,
+    PreperiodicPoint,
+    build_sequence,
+)
 
 # ---------------------------------------------------------------------------
 # The converter
@@ -68,16 +80,35 @@ _PART = st.one_of(
 )
 
 
-@given(p=_PART, q=_PART, rational=st.booleans(), sign=st.sampled_from((-1, 1)), cold=st.booleans())
-@example(p=2**cli._STR_BITS + 1, q=1, rational=False, sign=1, cold=True)
-@example(p=3, q=2 ** (cli._LEAF_BITS << 3) - 1, rational=True, sign=-1, cold=False)
+@given(p=_PART, q=_PART, negative=st.booleans(), cold=st.booleans())
+@example(p=2**cli._STR_BITS + 1, q=1, negative=False, cold=True)
+@example(p=3, q=2 ** (cli._LEAF_BITS << 3) - 1, negative=True, cold=False)
 @settings(max_examples=40, deadline=None)
-def test_orbit_records_render_each_part_and_their_product(p, q, rational, sign, cold):
+def test_converter_matches_str_at_split_widths(p, q, negative, cold):
     if cold:
         cli._pow2.cache_clear()
+    assert str(cli._to_decimal(p)) == str(p)
+    assert str(cli._to_decimal(p * q)) == str(p * q)
+    n = -(p * q + 1) if negative else p * q + 1
+    assert cli._decimal_str(n) == str(n)
+
+
+@given(p=_PART, q=_PART, rational=st.booleans(), sign=st.sampled_from((-1, 1)))
+@example(p=2**cli._STR_BITS + 1, q=1, rational=False, sign=1)
+@example(p=3, q=2 ** (cli._LEAF_BITS << 3) - 1, rational=True, sign=-1)
+@example(p=2**cli._LEAF_BITS - 1, q=1, rational=False, sign=-1)
+@settings(max_examples=40, deadline=None)
+def test_orbit_records_off_their_map_are_refused(p, q, rational, sign):
+    # a record A = p * q that z^2 + 1 does not reach from 0: a term of at most
+    # _LEAF_BITS prints with str from the record itself, a longer one is
+    # replayed from the map and refused
     b = p * q + 1 if rational else 1  # coprime to p * q
     rec = OrbitRecord(1, sign, IdealPair.coprime(p * q, b), PrimitiveSplit(p, q), p > 1)
     seq = OrbitSequence(phi=Polynomial([1, 0, 1]), alpha=Fraction(0), centered=Polynomial([1, 0, 1]), records=[rec])
+    if max((p * q).bit_length(), b.bit_length()) > cli._LEAF_BITS:
+        with pytest.raises(RuntimeError, match="orbit record 1 disagrees"):
+            cli._orbit_result(seq)
+        return
     (row,) = cli._orbit_result(seq)["records"]
     assert row["primitive_part"] == str(p)
     assert row["nonprimitive_part"] == str(q)
@@ -147,12 +178,197 @@ def test_csv_reports_render_no_decimal_strings(command, config, monkeypatch):
     def refuse(n):
         raise AssertionError("a CSV report converted an integer to decimal")
 
+    step = IntegerModel.__call__
+
+    def int_step(model, a, b):
+        if isinstance(a, decimal.Decimal) or isinstance(b, decimal.Decimal):
+            raise AssertionError("a CSV report stepped the orbit on Decimals")
+        return step(model, a, b)
+
     monkeypatch.setattr(cli, "_decimal_str", refuse)
     monkeypatch.setattr(cli, "_to_decimal", refuse)
+    monkeypatch.setattr(IntegerModel, "__call__", int_step)
     args = dict(poly="z^2+1", n=30 if config else 18)
     code, report, _ = run_subcommand(command, args, RunConfig(fmt="csv", **config))
     assert code == (3 if config else 0)
     assert report.startswith("n,value_digits,A_digits,primitive,P_digits,N_digits\n")
+
+
+# ---------------------------------------------------------------------------
+# Replayed orbit reports
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def unlimited_str():
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python without the int<->str limit
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def _run_orbit(poly: str, alpha: Fraction, n: int, fmt: str, budget: int):
+    """The command's report, and the records it must print, as built by the
+    engine (the partial ones when the orbit stops early)."""
+    config = RunConfig(fmt=fmt, digit_budget=budget)
+    code, report, _ = run_subcommand("orbit", dict(poly=poly, alpha=str(alpha), n=n), config)
+    try:
+        seq = build_sequence(cli.parse_poly(poly).poly, alpha, n, digit_budget=budget)
+    except (DigitBudgetExceeded, PreperiodicPoint) as exc:
+        seq = exc.partial
+    return code, report, seq.records
+
+
+def _expected_fields(rec) -> dict:
+    a, b = rec.ideal.A, rec.ideal.B
+    return {
+        "n": rec.n,
+        "numerator_ideal": str(a),
+        "denominator_ideal": str(b),
+        "primitive_part": str(rec.split.primitive_part),
+        "nonprimitive_part": str(rec.split.nonprimitive_part),
+        "has_primitive_divisor": rec.primitive,
+        "value": str(Fraction(rec.sign * a, b)),
+    }
+
+
+def _check_report(code, report, records, fmt):
+    assert code in (0, 1, 3)
+    if fmt == "json":
+        result = json.loads(report)["result"]
+        rows = (result if code == 0 else result["partial"])["records"]
+        assert rows == [_expected_fields(rec) for rec in records]
+        return
+    prefix = "result.records" if code == 0 else "result.partial.records"
+    for i, rec in enumerate(records):
+        for key, value in _expected_fields(rec).items():
+            assert f"\n{prefix}.{i}.{key}: {value}\n" in report
+
+
+_SMALL_Q = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+_NONZERO_Q = st.builds(lambda n, d, s: Fraction(s * n, d), st.integers(1, 9), st.integers(1, 9), st.sampled_from((-1, 1)))
+
+
+@given(
+    coeffs=st.integers(2, 3).flatmap(lambda d: st.tuples(*[_SMALL_Q] * d, _NONZERO_Q)),
+    alpha=_SMALL_Q,
+    budget=st.sampled_from((1_500, 12_000, 30_000)),
+    fmt=st.sampled_from(("json", "text")),
+)
+@example(coeffs=(Fraction(1), Fraction(1, 2), Fraction(1, 2)), alpha=Fraction(0), budget=30_000, fmt="json")
+@example(coeffs=(Fraction(-7, 4), Fraction(0), Fraction(1)), alpha=Fraction(1, 3), budget=30_000, fmt="text")
+@example(coeffs=(Fraction(-7, 4), Fraction(0), Fraction(1)), alpha=Fraction(1, 3), budget=12_000, fmt="json")
+@settings(max_examples=40, deadline=None)
+def test_replayed_records_match_the_engine(coeffs, alpha, budget, fmt, unlimited_str):
+    # budgets of about 1,500, 12,000 and 30,000 digits put the last terms
+    # past _LEAF_BITS (1,233 digits) and _STR_BITS (9,865 digits); an orbit
+    # this long stops at the budget, so its records are a partial sequence
+    poly = "+".join(f"({c})*z^{i}" for i, c in enumerate(coeffs))
+    code, report, records = _run_orbit(poly, alpha, 40, fmt, budget)
+    _check_report(code, report, records, fmt)
+
+
+# g = (z - 1)(z - M) maps 0 to M and M back to 0, and h = z^2 - M z + M fixes
+# M: both stop at step 2 with one record past _LEAF_BITS as the partial orbit
+_M = 3**3000 // 7
+
+
+@pytest.mark.parametrize("poly", [f"(z-1)*(z-{_M})", f"z^2-{_M}*z+{_M}", f"(z-1)*(z-{_M}/7)"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_preperiodic_partial_records_are_replayed(poly, fmt, unlimited_str):
+    code, report, records = _run_orbit(poly, Fraction(0), 8, fmt, 100_000)
+    assert code == 1 and len(records) == 1
+    assert records[0].ideal.A.bit_length() > cli._LEAF_BITS
+    _check_report(code, report, records, fmt)
+
+
+@st.composite
+def _step_inputs(draw):
+    d = draw(st.integers(2, 4))
+    coeffs = [Fraction(draw(st.integers(-50, 50)), draw(st.sampled_from((1, 2, 3, 4, 6, 8, 9, 27, 32)))) for _ in range(d)]
+    coeffs.append(Fraction(draw(st.integers(1, 50)) * draw(st.sampled_from((1, -1))), draw(st.sampled_from((1, 2, 3, 8)))))
+    b = draw(st.sampled_from((1, 2, 3, 4, 6, 8, 9, 12))) ** draw(st.integers(0, 40)) * draw(st.integers(1, 10**600))
+    a = draw(st.integers(-(10**600), 10**600).filter(lambda a: math.gcd(a, b) == 1))
+    return Polynomial(coeffs), a, b
+
+
+@given(inputs=_step_inputs())
+@example(inputs=(Polynomial([1, Fraction(1, 2), Fraction(1, 2)]), 2, 1))
+@settings(max_examples=150, deadline=None)
+def test_decimal_step_matches_the_int_step(inputs):
+    phi, a, b = inputs
+    model = IntegerModel(phi)
+    with decimal.localcontext(cli._EXACT):
+        x, y = model(decimal.Decimal(a), decimal.Decimal(b))
+    assert (int(x), int(y)) == model(a, b)
+    assert x.as_tuple().exponent == 0 and y.as_tuple().exponent == 0
+
+
+def _corrupt(how: str, seq: OrbitSequence) -> OrbitSequence:
+    """seq with records that do not follow seq.centered from the first term
+    past _LEAF_BITS on."""
+    if how == "other map":
+        return replace(seq, centered=Polynomial([2, 0, 1]))
+    n = next(i for i, rec in enumerate(seq.records) if rec.ideal.A.bit_length() > cli._LEAF_BITS)
+    rec = seq.records[n]
+    if how == "sign":
+        rec = replace(rec, sign=-rec.sign)
+    elif how == "split":  # a non-primitive part that does not divide A
+        rec = replace(rec, split=replace(rec.split, nonprimitive_part=rec.split.nonprimitive_part * 10**9 + 7))
+    elif how == "numerator":
+        rec = replace(rec, ideal=IdealPair.coprime(rec.ideal.A + 1, rec.ideal.B))
+    else:  # a denominator the map does not reach, though every digit of A does
+        rec = replace(rec, ideal=IdealPair.coprime(rec.ideal.A, 2 * rec.ideal.A + 1))
+    return replace(seq, records=seq.records[:n] + [rec] + seq.records[n + 1 :])
+
+
+@pytest.mark.parametrize("how", ["other map", "sign", "split", "numerator", "denominator"])
+@pytest.mark.parametrize("command", ["orbit", "zsigmondy"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("stop", [None, "budget"])
+def test_records_off_their_map_exit_internal(how, command, fmt, stop, monkeypatch):
+    real = build_sequence(Polynomial([1, 0, 1]), 0, 17)
+    assert real.records[-1].ideal.A.bit_length() > cli._STR_BITS
+    fake = _corrupt(how, real)
+
+    def build(*args, **kwargs):
+        if stop:
+            raise DigitBudgetExceeded("orbit value at step 18 exceeds 20000 digits", fake)
+        return fake
+
+    monkeypatch.setattr(cli, "build_sequence", build)
+    code, report, diagnostics = run_subcommand(command, dict(poly="z^2+1", n=17), RunConfig(fmt=fmt))
+    assert code == 4
+    assert "internal error" in report and "orbit record" in diagnostics
+    assert re.search(r"\d{12}", report) is None  # no term digits, not even those of the small records
+
+
+def _context_state():
+    ctx = decimal.getcontext()
+    return ctx, ctx.prec, ctx.Emax, ctx.Emin, ctx.rounding, dict(ctx.traps), dict(ctx.flags)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["orbit", "--poly", "z^2+1/3", "--alpha", "2/7", "--n", "14"], 0),
+        (["orbit", "--poly", "z^3+1/2", "--alpha", "1/3", "--n", "10", "--format", "csv"], 0),
+        (["zsigmondy", "--poly", "z^2+1", "--n", "30", "--digit-budget", "20000"], 3),
+        (["orbit", "--poly", "z^2+1", "--n", "17"], 4),
+    ],
+)
+def test_reports_leave_the_decimal_context_alone(argv, code, monkeypatch, capsys):
+    if code == 4:
+        fake = _corrupt("other map", build_sequence(Polynomial([1, 0, 1]), 0, 17))
+        monkeypatch.setattr(cli, "build_sequence", lambda *args, **kwargs: fake)
+    with decimal.localcontext(decimal.Context()):  # a context no earlier test can have replaced
+        before = _context_state()
+        assert cli.main(argv) == code
+        assert _context_state() == before
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
