@@ -31,7 +31,6 @@ import json
 import math
 import os
 import sys
-import traceback
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Optional
@@ -308,7 +307,8 @@ def parse_rational(text: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-# the trial-division sieve takes trial_bound bytes, and its primes are kept in array("L") chunks
+# building the trial-division table takes a sieve of trial_bound/2 bytes, and its
+# primes are kept in array("I") chunks, 4 bytes each, so the cap stays below 2^32
 _MAX_TRIAL_BOUND = 10**7
 
 
@@ -955,6 +955,8 @@ def _run(name: str, args: dict, config: RunConfig):
             code = EXIT_BUDGET
             diagnostics = f"budget exhausted: {exc}"
     except Exception as exc:  # a defect, also in a partial result, reported as any failure
+        import traceback  # only this path needs it; importing it costs every process
+
         where = traceback.extract_tb(exc.__traceback__)[-1]
         error = f"{type(exc).__name__}: {exc} (at {os.path.basename(where.filename)}:{where.lineno})"
         result = {"error": error, "reason": "internal error"}

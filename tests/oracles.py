@@ -1,11 +1,13 @@
 """Test-only oracles: direct definitions that the package no longer needs,
 kept as references for the tests that compare against them."""
 
+from array import array
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import compress
+from math import gcd, isqrt, lcm, prod
 from typing import Union
 
-from dynzsig.divisibility import IdealPair
+from dynzsig.divisibility import _CHUNK, IdealPair
 from dynzsig.heights import log_int
 from dynzsig.ratfield import Coefficient, Polynomial, as_rational, poly_gcd
 
@@ -14,6 +16,24 @@ def ideal_pair(x: Fraction | int | str) -> "IdealPair":
     """Numerator/denominator ideal pair (|num|, den) of x in lowest terms."""
     x = Fraction(x)
     return IdealPair(abs(x.numerator), x.denominator)
+
+
+def prime_chunks(bound: int) -> tuple[tuple[array, int], ...]:
+    """The trial-division table built directly: a sieve over every integer
+    below bound, the primes in one array("L"), and a left-to-right product per
+    chunk of _CHUNK primes.  Bound 2 gives the chunk (2,), as in the package."""
+    if bound < 3:
+        return ((array("L", [2]), 2),) if bound == 2 else ()
+    sieve = bytearray([1]) * bound
+    sieve[0:2] = b"\x00\x00"
+    for p in range(2, isqrt(bound - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(range(p * p, bound, p)))
+    primes = array("L", compress(range(bound), sieve))
+    return tuple(
+        (group, prod(group))
+        for group in (primes[i : i + _CHUNK] for i in range(0, len(primes), _CHUNK))
+    )
 
 
 def rational_height(x: Coefficient) -> float:

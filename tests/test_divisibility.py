@@ -1,13 +1,17 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import prod
 
 import pytest
 
+from dynzsig import divisibility
 from dynzsig.divisibility import (
+    _CHUNK,
     FactorBudget,
     Factorization,
     IdealPair,
+    _prime_chunks,
     decimal_digits,
     factor,
     has_primitive_divisor,
@@ -22,7 +26,7 @@ from dynzsig.divisibility import (
 from dynzsig.heights import PlaceSet
 from dynzsig.ratfield import Polynomial
 from dynzsig.zsigmondy import FamilyFactor, FamilySpec, family_build, valuation_stability_check
-from oracles import ideal_pair
+from oracles import ideal_pair, prime_chunks
 
 S_INF = PlaceSet()
 
@@ -226,6 +230,51 @@ def test_factor_matches_sympy():
             assert expected.pop(p) == e, (n, p)
         assert fa.cofactor == prod(p**e for p, e in expected.items()), n
         assert all(p >= budget.trial_bound for p in expected), n
+
+
+# --- the trial-division table ------------------------------------------------
+
+TABLE_BOUNDS = [*range(3001), 7171, 65536, 100001, 10**6, 10**6 + 1]
+
+
+def _as_lists(table):
+    return [(group.tolist(), product) for group, product in table]
+
+
+def test_prime_table_equals_the_direct_sieve():
+    for bound in TABLE_BOUNDS:
+        table = _prime_chunks.__wrapped__(bound)
+        assert _as_lists(table) == _as_lists(prime_chunks(bound)), bound
+        assert all(len(group) == _CHUNK for group, _ in table[:-1]), bound
+
+
+def test_factor_splits_across_chunk_boundaries_as_the_oracle_table(monkeypatch):
+    table = prime_chunks(10**6)
+    for k in (0, 1, len(table) // 2, len(table) - 2):
+        p, q = table[k][0][-1], table[k + 1][0][0]
+        n = p * q * 1000003
+        with monkeypatch.context() as m:
+            m.setattr(divisibility, "_prime_chunks", prime_chunks)
+            expected = factor(n)
+        fa = factor(n)
+        assert (fa.factors, fa.cofactor) == (expected.factors, expected.cofactor)
+        assert (fa.factors, fa.cofactor) == ({p: 1, q: 1, 1000003: 1}, 1)
+
+
+def test_prime_table_build_memory():
+    # the table at 10^6 holds about 0.5 MB: primes at 4 bytes each and the
+    # chunk products; its build peaks at about 1.4 MB, the odd-only sieve and
+    # the full prime array included
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table = _prime_chunks.__wrapped__(10**6)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, (group for group, _ in table))) == 78498
+    assert held - base < 0.6e6
+    assert peak - base < 1.6e6
 
 
 # --- valuation ---------------------------------------------------------------
