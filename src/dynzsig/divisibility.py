@@ -18,9 +18,11 @@ from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, log10, prod
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+
+from .ratfield import _LOG10_2
 
 if TYPE_CHECKING:
     from .cli import FactorCache
@@ -127,12 +129,29 @@ class Factorization:
 
 
 def decimal_digits(n: int) -> int:
-    """Exact count of decimal digits of |n| without building the string."""
+    """Exact count of decimal digits of |n| without building the string.
+
+    With bits = n.bit_length(), s = max(bits - 64, 0) and u = 2^-53, e =
+    log10(n >> s) + s * log10(2) in floats is within (bits + 64) * 2^-52 of
+    log10 |n| while bits < 2^53, and floor(e) + 1 is the count when e is
+    farther than that from an integer.  The error terms: under 0.44u from
+    rounding n >> s to a float, 2 ulp = 2^-47 from libm's log10 (taken to be
+    that accurate) of a value below 20, 2^-63 from the bits shifted out,
+    0.25u * s from the constant log10(2), 0.31u * s from rounding the
+    product and (0.31 * bits + 20) * u from the sum: under (0.87 * bits +
+    85) * u in all.  Any other n takes the exact loop below: a power of ten,
+    and every n past 2^51 bits, where the margin exceeds 1/2.
+    """
     n = abs(n)
     if n == 0:
         return 1
-    # the estimate is the count or one more; only the first power is built by pow
-    digits = int(n.bit_length() * 0.30102999566398120) + 1
+    bits = n.bit_length()
+    s = bits - 64 if bits > 64 else 0
+    estimate, margin = log10(n >> s) + s * _LOG10_2, (bits + 64) / 2**52
+    if margin < estimate % 1 < 1 - margin:
+        return int(estimate) + 1
+    # exact: the estimate is the count or one more; only the first power is built by pow
+    digits = int(bits * _LOG10_2) + 1
     power = 10 ** (digits - 1)
     while power > n:
         power //= 10
@@ -312,8 +331,9 @@ def primitive_split(A_n: int, history: Iterable[int]) -> PrimitiveSplit:
     """Split A_n by gcd-stripping against history; no factorization needed.
 
     Every prime shared with history is removed at its full multiplicity,
-    because repeated gcds with the sharing term keep extracting it until the
-    running value is coprime to that term.
+    because repeated gcds keep extracting it until the running value is
+    coprime to the sharing term.  Every prime it still shares with the term
+    divides the first g, so only that gcd takes the term itself.
     """
     if A_n < 1:
         raise ValueError("primitive_split requires A_n >= 1")
@@ -324,7 +344,7 @@ def primitive_split(A_n: int, history: Iterable[int]) -> PrimitiveSplit:
         g = gcd(current, prior)
         while g > 1:
             current //= g
-            g = gcd(current, prior)
+            g = gcd(current, g)
     return PrimitiveSplit(current, A_n // current)
 
 

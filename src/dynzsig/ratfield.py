@@ -398,9 +398,18 @@ class IntegerModel:
 
     orbit uses it to raise the budget stop for a step whose value cannot fit,
     without building that value.
+
+    Evaluation: a sparse Horner scheme (Knuth, TAOCP vol. 2, 4.6.4) folds in
+    each nonzero f_i, top down, as num = num * a^gap + f_i * b^(d-i), with a
+    last gap down to i = 0 when f_0 = 0.  a^gap is a itself at gap 1 and
+    square-and-multiply above (a * a at gap 2), never **, slow on Decimal;
+    likewise b^gap, and bpow = b^(d-i) starts as the first b^gap itself.
+    int and Decimal square faster than they multiply only when both operands
+    are one object, and 1 * b is a copy (Brent-Zimmermann, Modern Computer
+    Arithmetic, 1.3.6): a step of z^2 + c is two squarings.
     """
 
-    __slots__ = ("lead", "lower", "scale", "k", "drop")
+    __slots__ = ("lead", "lower", "scale", "k", "drop", "steps")
 
     def __init__(self, phi: Polynomial):
         if phi.degree < 1:
@@ -411,13 +420,29 @@ class IntegerModel:
         self.k = self.scale * abs(self.lead)
         d, tail = len(self.lower), sum(map(abs, self.lower))
         self.drop = max(1 + self.scale.bit_length() + d * self.lead.bit_length(), d * (1 + tail.bit_length()))
+        # (gap, f_i) per nonzero f_i, top down, then (gap, 0) down to i = 0 if f_0 = 0
+        folds = [i for i in range(d - 1, -1, -1) if coeffs[i] or i == 0]
+        self.steps = [(top - i, coeffs[i]) for top, i in zip([d, *folds], folds)]
 
     def __call__(self, a: int, b: int) -> tuple[int, int]:
-        num = self.lead
-        bpow = 1
-        for c in self.lower:  # homogeneous Horner: bpow runs through b, ..., b^d
-            bpow *= b
-            num = num * a + c * bpow if c else num * a
+        num, bpow = self.lead, 1
+        for gap, c in self.steps:  # sparse Horner: num = num * a^gap + f_i * b^(d-i)
+            if gap == 1:
+                apow, bgap = a, b
+            elif gap == 2:
+                apow, bgap = a * a, b * b
+            elif gap == 3:
+                apow, bgap = a * a * a, b * b * b
+            else:
+                apow, bgap = a, b
+                for bit in bin(gap)[3:]:
+                    apow, bgap = apow * apow, bgap * bgap
+                    if bit == "1":
+                        apow, bgap = apow * a, bgap * b
+            num *= apow
+            bpow = bgap if bpow == 1 else bpow * bgap
+            if c:
+                num += c * bpow
         den, k = self.scale * bpow, self.k
         t = gcd(int(den % k), int(num % k), k)
         while t > 1:

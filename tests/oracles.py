@@ -7,7 +7,7 @@ from itertools import compress
 from math import gcd, isqrt, lcm, prod
 from typing import Union
 
-from dynzsig.divisibility import _CHUNK, IdealPair
+from dynzsig.divisibility import _CHUNK, IdealPair, PrimitiveSplit
 from dynzsig.heights import log_int
 from dynzsig.ratfield import Coefficient, Polynomial, as_rational, poly_gcd
 
@@ -34,6 +34,18 @@ def prime_chunks(bound: int) -> tuple[tuple[array, int], ...]:
         (group, prod(group))
         for group in (primes[i : i + _CHUNK] for i in range(0, len(primes), _CHUNK))
     )
+
+
+def primitive_split_by_terms(A_n: int, history) -> PrimitiveSplit:
+    """primitive_split with every gcd taken against the history term itself,
+    not against the previous gcd."""
+    current = A_n
+    for prior in history:
+        g = gcd(current, prior)
+        while g > 1:
+            current //= g
+            g = gcd(current, prior)
+    return PrimitiveSplit(current, A_n // current)
 
 
 def rational_height(x: Coefficient) -> float:

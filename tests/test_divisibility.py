@@ -5,6 +5,12 @@ from math import prod
 
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the split differential below needs hypothesis
+    st = None
+
 from dynzsig import divisibility
 from dynzsig.divisibility import (
     _CHUNK,
@@ -26,7 +32,7 @@ from dynzsig.divisibility import (
 from dynzsig.heights import PlaceSet
 from dynzsig.ratfield import Polynomial
 from dynzsig.zsigmondy import FamilyFactor, FamilySpec, family_build, valuation_stability_check
-from oracles import ideal_pair, prime_chunks
+from oracles import ideal_pair, prime_chunks, primitive_split_by_terms
 
 S_INF = PlaceSet()
 
@@ -348,6 +354,27 @@ def test_primitive_split_matches_oracle_on_random_sequences():
         assert split.primitive_part * split.nonprimitive_part == A
 
 
+if st is not None:
+    _SHARED = [2, 3, 5, 7, 10007, 2**31 - 1, 2**61 - 1]
+
+    @st.composite
+    def shared_histories(draw):
+        """A term and its history built on a few shared primes, at exponents up
+        to 400 on either side, times cofactors of up to 40 digits."""
+        primes = draw(st.lists(st.sampled_from(_SHARED), min_size=1, max_size=4, unique=True))
+
+        def build(top):
+            return prod(p ** draw(st.integers(0, top)) for p in primes) * draw(st.integers(1, 10**40))
+
+        return build(400), [build(300) for _ in range(draw(st.integers(0, 5)))]
+
+    @settings(max_examples=150, deadline=None)
+    @given(shared_histories())
+    def test_primitive_split_matches_the_term_gcd_loop(case):
+        A, history = case
+        assert primitive_split(A, history) == primitive_split_by_terms(A, history)
+
+
 def test_primitive_split_matches_factorization_oracle():
     # prime p is primitive iff it divides no earlier term; exponent is full
     for c in (1, 2, -3):
@@ -489,6 +516,25 @@ def test_decimal_digits_exact():
     for k in range(1, 400):
         for n in (10**k - 1, 10**k, 10**k + 1, 2**k - 1, 2**k, 2**k + 1):
             assert decimal_digits(n) == decimal_digits(-n) == len(str(n))
+    # past 400 digits: 10^k - 1, 10^k and 10^k + 1 have a log10 within the
+    # margin of an integer and take the exact loop; the estimate decides the rest
+    for k in [*range(400, 5001, 97), 9_999, 10_000, 50_000, 100_000]:
+        power = 10**k
+        assert decimal_digits(power - 1) == decimal_digits(1 - power) == k
+        assert decimal_digits(power) == decimal_digits(power + 1) == decimal_digits(-power - 1) == k + 1
+    # the j past 400 whose 2^j come closest to a power of ten (continued-fraction
+    # denominators of log10 2), and a sweep to 400,000; checked against the
+    # powers of ten that bracket each count
+    for j in [485, 2136, 13301, 28738, 42039, 70777, 254370, 325147, *range(400, 400_001, 3989)]:
+        n = 2**j
+        digits = decimal_digits(n)
+        assert 10 ** (digits - 1) <= n - 1 and n + 1 < 10**digits, j
+        assert decimal_digits(n - 1) == decimal_digits(n + 1) == digits, j
+    # conftest lifts the int->str limit past these sizes
+    rng = random.Random(18)
+    for _ in range(8):
+        n = rng.randrange(10 ** rng.randrange(10_000, 100_000))
+        assert decimal_digits(n) == len(str(n))
 
 
 def test_factorization_reconstruct():

@@ -265,11 +265,11 @@ def wide_maps(draw):
 
 
 @st.composite
-def coprime_pairs(draw):
-    """(a, b) with b > 0 coprime to a, up to about 200 digits, with b often
-    divisible by high powers of small primes."""
-    b = draw(prime_powers) * draw(st.integers(1, 10**100))
-    a = draw(st.one_of(st.integers(-1000, 1000), st.integers(-(10**200), 10**200)))
+def coprime_pairs(draw, digits=200):
+    """(a, b) with b > 0 coprime to a, up to about `digits` digits, with b
+    often divisible by high powers of small primes."""
+    b = draw(prime_powers) * draw(st.integers(1, 10 ** (digits // 2)))
+    a = draw(st.one_of(st.integers(-1000, 1000), st.integers(-(10**digits), 10**digits)))
     if a == 0:
         return 0, 1
     while (g := gcd(a, b)) > 1:
@@ -289,6 +289,23 @@ def test_size_lemma_bounds_every_step(phi, pair):
     model = IntegerModel(phi)
     a, b = pair
     assert _bits(*model(a, b)) >= phi.degree * (_bits(a, b) - 1) - model.drop
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(wide_maps(), coprime_pairs(3000))
+# leads 1, -1 and -1/6 with gaps 2 to 5 and a final gap to f_0 = 0, on pairs
+# past the Karatsuba cutoff, so that the squarings run on big operands
+@example(Polynomial([1, 0, 1]), (3**6000 + 2, 2**1000))
+@example(Polynomial([0, Fraction(1, 5), 0, 0, 1]), (7**3000, 5**700))
+@example(Polynomial([2, 0, 0, -1]), (-(11**2500), 3))
+@example(Polynomial([0, 0, 0, 0, 0, Fraction(-1, 6)]), (5**4000 + 6, 6**900))
+@example(Polynomial([Fraction(1, 3), 0, 0, 0, Fraction(7, 2), 0, -1]), (2**9000 + 1, 1))
+def test_one_step_is_the_reduced_fraction(phi, pair):
+    a, b = pair
+    assert gcd(a, b) == 1
+    d = phi.degree
+    value = sum(c * a**i * b ** (d - i) for i, c in enumerate(phi.coeffs)) / b**d
+    assert IntegerModel(phi)(a, b) == (value.numerator, value.denominator)
 
 
 def _count_steps(monkeypatch):

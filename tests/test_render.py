@@ -16,7 +16,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from dynzsig import cli  # noqa: E402
@@ -30,6 +30,7 @@ from dynzsig.zsigmondy import (  # noqa: E402
     PreperiodicPoint,
     build_sequence,
 )
+from test_orbit_engine import coprime_pairs, wide_maps  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # The converter
@@ -295,9 +296,16 @@ def _step_inputs(draw):
     return Polynomial(coeffs), a, b
 
 
-@given(inputs=_step_inputs())
+# the engine tests' sparse maps: degree 2-6, runs of zero coefficients, f_0 = 0,
+# leads +-1 and others, on coprime pairs of up to about 3,000 digits
+_sparse_step_inputs = st.tuples(wide_maps(), coprime_pairs(3000)).map(lambda mp: (mp[0], *mp[1]))
+
+
+@given(inputs=st.one_of(_step_inputs(), _sparse_step_inputs))
 @example(inputs=(Polynomial([1, Fraction(1, 2), Fraction(1, 2)]), 2, 1))
-@settings(max_examples=150, deadline=None)
+@example(inputs=(Polynomial([0, Fraction(1, 5), 0, 0, 1]), 7**3000, 5**700))
+@example(inputs=(Polynomial([Fraction(1, 3), 0, 0, 0, Fraction(7, 2), 0, -1]), 2**9000 + 1, 3**10))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_decimal_step_matches_the_int_step(inputs):
     phi, a, b = inputs
     model = IntegerModel(phi)
