@@ -9,13 +9,12 @@ integers are emitted as decimal strings so they survive any JSON consumer.
 
 An orbit report is built once, in the requested format: CSV rows carry digit
 counts only, so no term is converted to decimal for them.  For json and text,
-terms of at most `_LEAF_BITS` print with `str`; from the first longer term on,
-`_orbit_result` replays the orbit step, `IntegerModel.__call__`, on the
-previous record's exact `Decimal` pair, so a term's digits cost one step in
-the `decimal` module's fast multiply and no conversion from binary, and P is
-the exact quotient A / N.  Each replayed term must match its record modulo a
-word-size prime, or the report is an internal error that prints no digits.
-Other big integers go through `_decimal_str`, which above `_STR_BITS` calls
+build_sequence computes every term past the history and `_LEAF_BITS` once, on
+exact `Decimal`s, so its digits cost no conversion from binary, and P is the
+exact quotient A / N.  Terms of at most `_LEAF_BITS` print with `str`.  Each
+longer term must match the orbit stepped on residues modulo a word-size
+prime, or the report is an internal error that prints no digits.  Other big
+integers go through `_decimal_str`, which above `_STR_BITS` calls
 `_to_decimal`: it splits them at the widths `_LEAF_BITS << k` and joins the
 halves with that fast multiply, where `str(int)` takes quadratic time, and
 the powers of two it joins with are computed once per process.
@@ -52,7 +51,9 @@ from .heights import (
     sum_local_at_infinity,
     weil_height,
 )
-from .ratfield import IntegerModel, Polynomial, ProjPoint, is_powerful, squarefree_decomposition
+from .ratfield import (  # noqa: F401  _pow2, the converter's power table, goes with _to_decimal
+    _EXACT, _LEAF_BITS, IntegerModel, Polynomial, ProjPoint, _pow2, _to_decimal, is_powerful, squarefree_decomposition
+)
 from .zsigmondy import (
     BoundInputs,
     DigitBudgetExceeded,
@@ -440,46 +441,15 @@ def _real(x: float) -> str:
 
 
 # str(int) takes quadratic time before Python 3.12; above _STR_BITS (about
-# 10,000 digits) _decimal_str converts with _to_decimal, whose leaves of at
-# most _LEAF_BITS go through Decimal(int).  On 3.11, with the power table
+# 10,000 digits) _decimal_str converts with ratfield._to_decimal, whose leaves
+# of at most _LEAF_BITS go through Decimal(int).  On 3.11, with the power table
 # warm, str and _to_decimal tie at 16,384-24,576 bits and _to_decimal is
 # 1.5x faster at 2**15 bits; leaves of 1024-16384 bits are within noise.
-# Orbit records use neither past _LEAF_BITS: _orbit_result replays the step.
 _STR_BITS = 1 << 15
-_LEAF_BITS = 4096
-
-# the converter's and the replay's arithmetic is on integers: exact at any
-# size, or it raises
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
 
 # the largest prime below 2**30: residues mod one word take the single-word
 # paths of both int and Decimal remainders
 _CHECK_PRIME = 2**30 - 35
-
-
-@functools.cache
-def _pow2(k: int) -> decimal.Decimal:
-    """2 ** (_LEAF_BITS << k), shared by every conversion in the process;
-    the table holds less than twice the largest integer converted."""
-    if k == 0:
-        return decimal.Decimal(1 << _LEAF_BITS)
-    half = _pow2(k - 1)
-    return _EXACT.multiply(half, half)
-
-
-def _to_decimal(m: int) -> decimal.Decimal:
-    """m >= 0 as an exact Decimal, in subquadratic time: m is split at the
-    width w = _LEAF_BITS << k that leaves a high part below 2**w, and the
-    halves are joined as lo + hi * 2**w with libmpdec's fast multiply
-    (Brent-Zimmermann, Modern Computer Arithmetic, 1.7)."""
-    bits = m.bit_length()
-    if bits <= _LEAF_BITS:
-        return decimal.Decimal(m)
-    k = ((bits - 1) // _LEAF_BITS).bit_length() - 1
-    w = _LEAF_BITS << k
-    hi = m >> w
-    lo = m - (hi << w)
-    return _EXACT.add(_to_decimal(lo), _EXACT.multiply(_to_decimal(hi), _pow2(k)))
 
 
 def _decimal_str(n: int) -> str:
@@ -559,27 +529,33 @@ def _orbit_rows(seq: OrbitSequence) -> list[tuple]:
 
 
 def _orbit_result(seq: OrbitSequence) -> dict:
-    """The records of an orbit report.  Terms of at most _LEAF_BITS print
-    with str; from the first longer one on, each record's digits come from
-    the orbit step replayed on the previous record's exact Decimal pair,
-    with P = A / N, and a term whose residue mod _CHECK_PRIME or remainder
-    disagrees with its record stops the report before printing it."""
-    records, pair, prev = [], None, (0, 1)
+    """The records of an orbit report.  A record of at most _LEAF_BITS prints
+    with str.  A longer one prints its exact Decimal pair, rec.deep or its
+    ints through _to_decimal, with P = A / N, and its value must equal mod p =
+    _CHECK_PRIME the orbit stepped on residues: from m = p * k^(d * len + 1),
+    a step divides by a divisor of k^d (IntegerModel), so after step n the
+    residues hold mod p * k^(d * (len - n) + 1).  A record that disagrees, or
+    whose N does not divide A, stops the report before it prints."""
+    records, p, stepped = [], _CHECK_PRIME, 0
     with decimal.localcontext(_EXACT):
         for rec in seq.records:
-            A, B, N = rec.ideal.A, rec.ideal.B, rec.split.nonprimitive_part
-            if pair is None and max(A.bit_length(), B.bit_length()) <= _LEAF_BITS:
-                a, b, p, q = str(A), str(B), str(rec.split.primitive_part), str(N)
-                prev = (rec.sign * A, B)
+            if rec.deep is None and max(rec.ideal.A.bit_length(), rec.ideal.B.bit_length()) <= _LEAF_BITS:
+                a, b = str(rec.ideal.A), str(rec.ideal.B)
+                P, N = str(rec.split.primitive_part), str(rec.split.nonprimitive_part)
             else:
-                if pair is None:  # the first term past _LEAF_BITS
-                    model, pair = IntegerModel(seq.centered), map(decimal.Decimal, prev)
-                x, y = pair = model(*pair)
-                a, n, m = abs(x), _to_decimal(N), _CHECK_PRIME
-                p, r = divmod(a, n)
-                if r or (x < 0) != (rec.sign < 0) or (a % m, y % m) != (A % m, B % m):
-                    raise RuntimeError(f"orbit record {rec.n} disagrees with its replayed step")
-                a, b, p, q = str(a), str(y), str(p), str(n)
+                if not stepped:  # residues are stepped only as far as a long record needs
+                    model = IntegerModel(seq.centered)
+                    shrink = model.k ** len(model.lower)
+                    residues, m = (0, 1), p * model.k * shrink ** len(seq.records)
+                for stepped in range(stepped + 1, rec.n + 1):
+                    m //= shrink
+                    residues = [r % m for r in model(*residues)]
+                x, y, N = rec.deep or (_to_decimal(rec.ideal.A), _to_decimal(rec.ideal.B), rec.split.nonprimitive_part)
+                a, n = x.copy_abs(), _to_decimal(N)
+                P, r = divmod(a, n)
+                if r or [rec.sign * int(a % p) % p, int(y % p)] != [v % p for v in residues]:
+                    raise RuntimeError(f"orbit record {rec.n} disagrees with the orbit of its map")
+                a, b, P, N = str(a), str(y), str(P), str(n)
             # as str(rec.value), without converting A and B again
             value = ("-" if rec.sign < 0 else "") + (a if b == "1" else f"{a}/{b}")
             records.append(
@@ -587,8 +563,8 @@ def _orbit_result(seq: OrbitSequence) -> dict:
                     "n": rec.n,
                     "numerator_ideal": a,
                     "denominator_ideal": b,
-                    "primitive_part": p,
-                    "nonprimitive_part": q,
+                    "primitive_part": P,
+                    "nonprimitive_part": N,
                     "has_primitive_divisor": rec.primitive,
                     "value": value,
                 }
@@ -639,20 +615,22 @@ def _require(args: dict, *names: str):
         raise ParseError(f"missing required option(s): {', '.join('--' + m for m in missing)}", 0)
 
 
-def _build_orbit(args: dict, config: RunConfig):
+def _build_orbit(args: dict, config: RunConfig, printed: bool = False):
+    """The requested orbit; printed, for a json or text orbit report, runs its
+    deep terms on exact Decimals (build_sequence's decimal_tail)."""
     parsed = parse_poly(args["poly"])
     alpha = parse_rational(args.get("alpha") or "0")
     N = 8 if args.get("n") is None else int(args["n"])
-    return build_sequence(parsed.poly, alpha, N, digit_budget=config.digit_budget)
+    return build_sequence(parsed.poly, alpha, N, digit_budget=config.digit_budget, decimal_tail=printed)
 
 
 def _cmd_orbit(args: dict, config: RunConfig):
-    seq = _build_orbit(args, config)
+    seq = _build_orbit(args, config, config.fmt != "csv")
     return (*_orbit_output(seq, config.fmt), [])
 
 
 def _cmd_zsigmondy(args: dict, config: RunConfig):
-    seq = _build_orbit(args, config)
+    seq = _build_orbit(args, config, config.fmt != "csv")
     # computed for every format: either may raise, and sets the exit code
     zset = sorted(zsigmondy_set(seq, len(seq.records)))
     verdict = wandering_verdict(

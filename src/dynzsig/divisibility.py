@@ -164,7 +164,9 @@ def decimal_digits(n: int) -> int:
 
 def _brent_rho(n: int, rounds: int, seed: int) -> int:
     """Deterministic Brent-rho campaign; returns a nontrivial factor of the odd
-    composite n, or 1 once the iteration budget is spent."""
+    composite n, or 1 once the iteration budget is spent.  The differences
+    x - y go in with their sign: q then differs only in sign mod n from the
+    product of |x - y|, and gcd ignores the sign."""
     rng = random.Random(f"{seed}:{n % (1 << 64)}")
     spent = 0
     while spent < rounds:
@@ -184,7 +186,7 @@ def _brent_rho(n: int, rounds: int, seed: int) -> int:
                 steps = min(m, r - k)
                 for _ in range(steps):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = gcd(q, n)
                 k += steps
                 spent += steps
@@ -194,7 +196,7 @@ def _brent_rho(n: int, rounds: int, seed: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                g = gcd(x - ys, n)
         if 1 < g < n:
             return g
         # retry with fresh parameters until the budget runs out
@@ -327,30 +329,29 @@ class PrimitiveSplit:
     nonprimitive_part: int
 
 
-def primitive_split(A_n: int, history: Iterable[int]) -> PrimitiveSplit:
+def primitive_split(A_n, history: Iterable[int]) -> PrimitiveSplit:
     """Split A_n by gcd-stripping against history; no factorization needed.
 
     Every prime shared with history is removed at its full multiplicity,
     because repeated gcds keep extracting it until the running value is
     coprime to the sharing term.  Every prime it still shares with the term
-    divides the first g, so only that gcd takes the term itself.
+    divides the first g, so only that gcd takes the term itself, through
+    its remainder mod the history term.  So A_n may also be an integral
+    Decimal under an exact context, as build_sequence's deep terms are: the
+    g's multiply up to an int non-primitive part, and P keeps A_n's type.
     """
     if A_n < 1:
         raise ValueError("primitive_split requires A_n >= 1")
-    current = A_n
+    current, stripped = A_n, 1
     for prior in history:
         if prior < 1:
             raise ValueError("history terms must be >= 1")
-        g = gcd(current, prior)
+        g = gcd(int(current % prior), prior)
         while g > 1:
             current //= g
-            g = gcd(current, g)
-    return PrimitiveSplit(current, A_n // current)
-
-
-def has_primitive_divisor(A_n: int, history: Iterable[int]) -> bool:
-    """True iff some prime of A_n divides no earlier term."""
-    return primitive_split(A_n, history).primitive_part > 1
+            stripped *= g
+            g = gcd(int(current % g), g)
+    return PrimitiveSplit(current, stripped)
 
 
 def valuation_table(

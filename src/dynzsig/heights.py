@@ -155,24 +155,6 @@ def _cross(P: ProjPoint, Q: ProjPoint) -> int:
     return P.x * Q.y - Q.x * P.y
 
 
-def chordal_metric(P: ProjPoint, Q: ProjPoint, v: Place) -> float:
-    """The v-adic projective distance; symmetric, in [0, 1], zero iff P = Q.
-
-    Coprime integer coordinates have unit p-adic max-norm, so at a finite
-    place this is just |x1 y2 - x2 y1|_p.
-    """
-    cross = _cross(P, Q)
-    if cross == 0:
-        return 0.0
-    if v.is_archimedean:
-        return math.exp(
-            log_int(abs(cross))
-            - 0.5 * log_int(P.x * P.x + P.y * P.y)
-            - 0.5 * log_int(Q.x * Q.x + Q.y * Q.y)
-        )
-    return math.exp(-valuation(abs(cross), v.prime) * math.log(v.prime))
-
-
 def local_log_distance(P: ProjPoint, Q: ProjPoint, v: Place) -> float:
     """-log of the chordal metric, computed directly from logs so huge
     coordinates neither overflow nor underflow; +inf iff P = Q."""

@@ -5,16 +5,76 @@ map's coefficients are scaled to integers.
 Integers are plain Python ints (arbitrary precision, canonical zero) and
 rationals are fractions.Fraction (always reduced, positive denominator), so
 the two base number types need no wrapper classes here.  Orbits run on
-coprime integer pairs instead, where Fraction would run a big gcd per step.
+coprime integer pairs instead, where Fraction would run a big gcd per step;
+an orbit whose terms will be printed in decimal may finish on exact
+decimal.Decimal pairs (IntegerModel.orbit).
 """
 
 from __future__ import annotations
 
+import decimal
+import functools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, log2
 from typing import Iterable, Iterator, Optional, Union
 
 _LOG10_2 = 0.30102999566398120
+
+# Decimal arithmetic on integers is exact at any size under _EXACT, or it
+# raises; _LEAD truncates to the leading 19 digits
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+_LEAD = decimal.Context(prec=19, rounding=decimal.ROUND_DOWN, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+# _to_decimal converts ints of at most _LEAF_BITS directly and splits longer
+# ones; an orbit printed in decimal switches to Decimal steps past it
+_LEAF_BITS = 4096
+
+
+@functools.cache
+def _pow2(k: int) -> decimal.Decimal:
+    """2 ** (_LEAF_BITS << k), shared by every conversion in the process;
+    the table holds less than twice the largest integer converted."""
+    if k == 0:
+        return decimal.Decimal(1 << _LEAF_BITS)
+    half = _pow2(k - 1)
+    return _EXACT.multiply(half, half)
+
+
+def _to_decimal(m: int) -> decimal.Decimal:
+    """m >= 0 as an exact Decimal, in subquadratic time: m is split at the
+    width w = _LEAF_BITS << k that leaves a high part below 2**w, and the
+    halves are joined as lo + hi * 2**w with libmpdec's fast multiply
+    (Brent-Zimmermann, Modern Computer Arithmetic, 1.7)."""
+    bits = m.bit_length()
+    if bits <= _LEAF_BITS:
+        return decimal.Decimal(m)
+    k = ((bits - 1) // _LEAF_BITS).bit_length() - 1
+    w = _LEAF_BITS << k
+    hi = m >> w
+    lo = m - (hi << w)
+    return _EXACT.add(_to_decimal(lo), _EXACT.multiply(_to_decimal(hi), _pow2(k)))
+
+
+def _decimal_bit_length(x: decimal.Decimal) -> int:
+    """int(x).bit_length() for an integral Decimal x >= 1, without that
+    quadratic conversion.  With e = x.adjusted() >= 19 and t the leading 19
+    digits, t <= x / 10^(e-18) < t + 1, so log2 x lies within 2^-59 above
+    log2(t) + (e - 18) / log10(2).  In floats that estimate is off by at most
+    2^-52.5 from rounding t, 2^-47 from log2 (taken to be within 1 ulp) of a
+    value below 64, and 3 * (bits + 64) * 2^-53 from the constant, the
+    quotient and the sum: under (bits + 64) * 2^-50 in all.  Farther than
+    that from an integer, floor + 1 is the count; nearer, x is compared with
+    the power of two next to it, built exactly."""
+    e = x.adjusted()
+    if e < 19:
+        return int(x).bit_length()
+    estimate = log2(int(x.scaleb(18 - e, _LEAD))) + (e - 18) / _LOG10_2
+    margin = (estimate + 64) / 2**50
+    if margin < estimate % 1 < 1 - margin:
+        return int(estimate) + 1
+    k = round(estimate)
+    return k + 1 if x >= _EXACT.power(2, k) else k
+
 
 Coefficient = Union[int, str, Fraction]
 
@@ -61,10 +121,6 @@ class Polynomial:
     @classmethod
     def constant(cls, c: Coefficient) -> "Polynomial":
         return cls((c,))
-
-    @classmethod
-    def monomial(cls, c: Coefficient, k: int) -> "Polynomial":
-        return cls((0,) * k + (c,))
 
     @property
     def degree(self) -> int:
@@ -367,9 +423,12 @@ class IntegerModel:
     k = L * |f_d|, and repeating t = gcd(den mod k, num mod k, k), which is
     gcd(gcd(den, k), num), until t = 1 reduces the pair without one
     big-by-big gcd.  Reading the reduction from residues mod k lets the same
-    step run on ints, as every orbit does, and on exact decimal.Decimal
-    pairs under a context that cannot round, as the report renderer replays
-    an orbit (Decimal's % keeps the dividend's sign, which gcd ignores).
+    step run on ints, on exact decimal.Decimal pairs under a context that
+    cannot round, as orbit's printed terms do (Decimal's % keeps the
+    dividend's sign, which gcd ignores), and on residues mod any multiple m
+    of k, as the report renderer checks an orbit: each division by t leaves
+    a residue mod m / t, and the divisions of one step multiply to g, which
+    divides L * f_d^d and hence k^d (below).
 
     Size lemma: write bits(x) = x.bit_length() and H = max(|a|, b) for the
     input and H' = max(|a'|, b') for the output (a', b') = model(a, b).  Then
@@ -451,7 +510,8 @@ class IntegerModel:
         return num, den
 
     def orbit(
-        self, start: Coefficient, steps: int, digit_budget: Optional[int] = None, *, track=False, partial=None
+        self, start: Coefficient, steps: int, digit_budget: Optional[int] = None, *, track=False, partial=None,
+        decimal_from: Optional[int] = None,
     ) -> Iterator[tuple[int, int]]:
         """Yield phi^n(start) for n = 1..steps as coprime pairs (a, b), b > 0.
 
@@ -467,6 +527,13 @@ class IntegerModel:
         the size lemma already puts the next value past it: that value could
         not repeat the start or an earlier value, all of which fit, so the
         step raises DigitBudgetExceeded exactly as computing it would.
+
+        With decimal_from, for a caller that prints the values' digits, the
+        first step n >= decimal_from whose input has more than _LEAF_BITS bits
+        converts that pair to exact Decimals once, and from it on the steps
+        run and yield on Decimals under _EXACT.  _decimal_bit_length keeps
+        bit lengths exact, so every check above decides as on ints, and seen
+        may hold both kinds, as equal numbers hash equal.
         """
         x = as_rational(start)
         a, b = x.numerator, x.denominator
@@ -477,14 +544,21 @@ class IntegerModel:
         for n in range(1, steps + 1):
             if bit_budget is not None and h <= bit_budget < d * (h - 1) - self.drop:
                 break  # by the size lemma, step n cannot fit
-            a, b = self(a, b)
+            if decimal_from is not None and n >= decimal_from and h > _LEAF_BITS:
+                size = _to_decimal(abs(a))
+                a, b, decimal_from = (size if a >= 0 else size.copy_negate()), _to_decimal(b), None
+            if type(a) is int:
+                a, b = self(a, b)
+            else:
+                with decimal.localcontext(_EXACT):
+                    a, b = self(a, b)
             if track:
                 if a == x.numerator and b == x.denominator:
                     raise PreperiodicPoint(f"orbit returns to the start at step {n}", n, partial)
                 if (a, b) in seen:
                     raise PreperiodicPoint(f"orbit value repeats at step {n}", n, partial)
                 seen.add((a, b))
-            h = max(a.bit_length(), b.bit_length())
+            h = max(a.bit_length(), b.bit_length()) if type(a) is int else _decimal_bit_length(max(a.copy_abs(), b))
             if bit_budget is not None and h > bit_budget:
                 break
             yield a, b

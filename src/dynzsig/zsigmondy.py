@@ -18,6 +18,7 @@ reduced by gcds with the small k = L |f_d| alone since F(a, b) = f_d a^d
 
 from __future__ import annotations
 
+import decimal
 import math
 import sys
 import warnings
@@ -44,6 +45,7 @@ from .heights import (
     sum_local_at_infinity,
 )
 from .ratfield import (
+    _EXACT,
     Coefficient,
     DigitBudgetExceeded,
     IntegerModel,
@@ -70,11 +72,27 @@ class HypothesisViolated(Exception):
 
 @dataclass(frozen=True)
 class OrbitRecord:
+    """One orbit term.  A record that build_sequence computed on exact
+    Decimals holds deep = (a, b, N): the signed value's pair as Decimals and
+    the int non-primitive part.  On first access its ideal and split are made
+    as ints, by one int step from the previous record's, and kept."""
+
     n: int
     sign: int  # -1 or 1: the orbit value is sign * ideal.A / ideal.B
     ideal: IdealPair
     split: PrimitiveSplit
     primitive: bool
+    deep: Optional[tuple] = field(default=None, compare=False, repr=False)
+
+    def __getattr__(self, name: str):
+        # reached for ideal and split only while a record on Decimals lacks them
+        if name not in ("ideal", "split") or "_prior" not in self.__dict__:
+            raise AttributeError(name)
+        model, prior = self._prior
+        (a, b), N = model(prior.sign * prior.ideal.A, prior.ideal.B), self.deep[2]
+        object.__setattr__(self, "ideal", IdealPair.coprime(abs(a), b))
+        object.__setattr__(self, "split", PrimitiveSplit(abs(a) // N, N))
+        return self.__dict__[name]
 
     @property
     def value(self) -> Fraction:
@@ -115,6 +133,8 @@ def build_sequence(
     alpha: Coefficient,
     N: int,
     digit_budget: int = 100_000,
+    *,
+    decimal_tail: bool = False,
 ) -> OrbitSequence:
     """Populate records 1..N by exact iteration of the centered map at 0.
 
@@ -126,6 +146,13 @@ def build_sequence(
     gcd(m, n) is a proper divisor of n, hence divides some n/q.  Primes of L
     escape that argument (phi = z^2/2 + z/2 + 1 at 0 gives 1, 2, 4, and
     A_3 = 4 is non-primitive only through A_2), and bad catches them.
+
+    With decimal_tail, for a caller that prints every term's digits, the
+    terms past n = N/2, which are no later term's history, run on exact
+    Decimals from the first step whose input is past _LEAF_BITS
+    (IntegerModel.orbit's decimal_from): each is computed once, in the base
+    it is printed in, and split by remainders against the int history.
+    Their records keep the Decimal pair and make ints only when asked.
 
     Raises PreperiodicPoint if an orbit value returns to 0 or repeats, and
     DigitBudgetExceeded (carrying the partial sequence) if a value outgrows
@@ -139,14 +166,21 @@ def build_sequence(
     centered = conjugate(phi, alpha)
     seq = OrbitSequence(phi=phi, alpha=alpha, centered=centered, records=[])
     model = IntegerModel(centered)
-    terms: list[int] = []
-    bad = 1
-    for n, (a, b) in enumerate(model.orbit(0, N, digit_budget, track=True, partial=seq), 1):
-        A = abs(a)
-        split = primitive_split(A, [terms[n // q - 1] for q in _prime_divisors(n)] + [bad])
-        seq.records.append(OrbitRecord(n, -1 if a < 0 else 1, IdealPair.coprime(A, b), split, split.primitive_part > 1))
-        terms.append(A)
-        bad = math.lcm(bad, math.gcd(A, model.scale))
+    orbit = model.orbit(0, N, digit_budget, track=True, partial=seq, decimal_from=N // 2 + 1 if decimal_tail else None)
+    terms, bad = [], 1
+    with decimal.localcontext(_EXACT):  # Decimal terms are split exactly
+        for n, (a, b) in enumerate(orbit, 1):
+            A, sign = abs(a), -1 if a < 0 else 1
+            split = primitive_split(A, [terms[n // q - 1] for q in _prime_divisors(n)] + [bad])
+            primitive = split.primitive_part > 1
+            if type(a) is int:
+                rec = OrbitRecord(n, sign, IdealPair.coprime(A, b), split, primitive)
+            else:  # the Decimal steps began past _LEAF_BITS, not at the start 0: a record precedes
+                rec, prior = object.__new__(OrbitRecord), (model, seq.records[-1])
+                rec.__dict__.update(n=n, sign=sign, primitive=primitive, deep=(a, b, split.nonprimitive_part), _prior=prior)
+            seq.records.append(rec)
+            terms.append(A)
+            bad = math.lcm(bad, math.gcd(int(A % model.scale), model.scale))
     return seq
 
 

@@ -1,15 +1,17 @@
 """Test-only oracles: direct definitions that the package no longer needs,
 kept as references for the tests that compare against them."""
 
+import math
+import random
 from array import array
 from fractions import Fraction
 from itertools import compress
 from math import gcd, isqrt, lcm, prod
 from typing import Union
 
-from dynzsig.divisibility import _CHUNK, IdealPair, PrimitiveSplit
-from dynzsig.heights import log_int
-from dynzsig.ratfield import Coefficient, Polynomial, as_rational, poly_gcd
+from dynzsig.divisibility import _CHUNK, IdealPair, PrimitiveSplit, primitive_split, valuation
+from dynzsig.heights import Place, log_int
+from dynzsig.ratfield import Coefficient, Polynomial, ProjPoint, as_rational, poly_gcd
 
 
 def ideal_pair(x: Fraction | int | str) -> "IdealPair":
@@ -122,7 +124,7 @@ def reverse_map(psi: Polynomial) -> RationalMap:
     if d < 1:
         raise ValueError("reverse_map requires degree >= 1")
     reversed_coeffs = tuple(reversed(psi.coeffs))
-    return RationalMap(Polynomial.monomial(1, d), Polynomial(reversed_coeffs))
+    return RationalMap(monomial(1, d), Polynomial(reversed_coeffs))
 
 
 def rational_map_height(phi: Union[RationalMap, Polynomial]) -> float:
@@ -133,3 +135,68 @@ def rational_map_height(phi: Union[RationalMap, Polynomial]) -> float:
         phi = RationalMap(phi)
     num, den = phi.integer_coefficients()
     return log_int(max(abs(c) for c in num + den))
+
+
+def monomial(c: Coefficient, k: int) -> Polynomial:
+    """The polynomial c * z^k."""
+    return Polynomial((0,) * k + (c,))
+
+
+def has_primitive_divisor(A_n: int, history) -> bool:
+    """True iff some prime of A_n divides no earlier term."""
+    return primitive_split(A_n, history).primitive_part > 1
+
+
+def chordal_metric(P: ProjPoint, Q: ProjPoint, v: Place) -> float:
+    """The v-adic projective distance; symmetric, in [0, 1], zero iff P = Q.
+
+    Coprime integer coordinates have unit p-adic max-norm, so at a finite
+    place this is just |x1 y2 - x2 y1|_p.
+    """
+    cross = P.x * Q.y - Q.x * P.y
+    if cross == 0:
+        return 0.0
+    if v.is_archimedean:
+        return math.exp(
+            log_int(abs(cross))
+            - 0.5 * log_int(P.x * P.x + P.y * P.y)
+            - 0.5 * log_int(Q.x * Q.x + Q.y * Q.y)
+        )
+    return math.exp(-valuation(abs(cross), v.prime) * math.log(v.prime))
+
+
+def brent_rho(n: int, rounds: int, seed: int) -> int:
+    """Brent-rho as the package ran it with abs() around each difference:
+    the same campaign, so the same factor or 1."""
+    rng = random.Random(f"{seed}:{n % (1 << 64)}")
+    spent = 0
+    while spent < rounds:
+        y = rng.randrange(1, n)
+        c = rng.randrange(1, n)
+        m = 128
+        g = r = q = 1
+        x = ys = y
+        while g == 1 and spent < rounds:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            spent += r
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                steps = min(m, r - k)
+                for _ in range(steps):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += steps
+                spent += steps
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if 1 < g < n:
+            return g
+    return 1

@@ -1,3 +1,4 @@
+import decimal
 import random
 import tracemalloc
 from fractions import Fraction
@@ -17,10 +18,10 @@ from dynzsig.divisibility import (
     FactorBudget,
     Factorization,
     IdealPair,
+    PrimitiveSplit,
     _prime_chunks,
     decimal_digits,
     factor,
-    has_primitive_divisor,
     is_probable_prime,
     nonprimitive_bound_check,
     prime_to_s_norm,
@@ -30,9 +31,9 @@ from dynzsig.divisibility import (
     valuation_table,
 )
 from dynzsig.heights import PlaceSet
-from dynzsig.ratfield import Polynomial
+from dynzsig.ratfield import _EXACT, Polynomial, _to_decimal
 from dynzsig.zsigmondy import FamilyFactor, FamilySpec, family_build, valuation_stability_check
-from oracles import ideal_pair, prime_chunks, primitive_split_by_terms
+from oracles import brent_rho, has_primitive_divisor, ideal_pair, prime_chunks, primitive_split_by_terms
 
 S_INF = PlaceSet()
 
@@ -134,6 +135,22 @@ def test_factor_deterministic_given_seed():
     a = factor(n, FactorBudget(seed=5))
     b = factor(n, FactorBudget(seed=5))
     assert a.factors == b.factors and a.cofactor == b.cofactor
+
+
+def test_brent_rho_returns_what_the_abs_form_returns():
+    # each q differs only in sign mod n from the product of |x - y|, so every
+    # gcd, and with it every campaign's factor or 1, is the same
+    odd_composites = [n for n in range(9, 600, 2) if any(n % p == 0 for p in range(3, int(n**0.5) + 1, 2))]
+    for n in odd_composites:
+        for rounds in (1, 7, 200):
+            for seed in (1, 2):
+                assert divisibility._brent_rho(n, rounds, seed) == brent_rho(n, rounds, seed), (n, rounds, seed)
+    rng = random.Random(20)
+    for _ in range(60):
+        n = rng.randrange(10**4, 10**9) | 1
+        n *= rng.randrange(10**4, 10**9) | 1
+        rounds, seed = rng.choice((10, 100, 2000)), rng.randint(1, 9)
+        assert divisibility._brent_rho(n, rounds, seed) == brent_rho(n, rounds, seed), (n, rounds, seed)
 
 
 def test_factor_rejects_zero():
@@ -373,6 +390,17 @@ if st is not None:
     def test_primitive_split_matches_the_term_gcd_loop(case):
         A, history = case
         assert primitive_split(A, history) == primitive_split_by_terms(A, history)
+
+    @settings(max_examples=150, deadline=None)
+    @given(shared_histories())
+    def test_primitive_split_of_a_decimal_term_equals_the_int_split(case):
+        # a term held as an exact Decimal, as build_sequence's deep terms are,
+        # is split by remainders against the int history
+        A, history = case
+        with decimal.localcontext(_EXACT):
+            split = primitive_split(_to_decimal(A), history)
+        assert isinstance(split.primitive_part, decimal.Decimal) and type(split.nonprimitive_part) is int
+        assert PrimitiveSplit(int(split.primitive_part), split.nonprimitive_part) == primitive_split(A, history)
 
 
 def test_primitive_split_matches_factorization_oracle():

@@ -22,7 +22,7 @@ from hypothesis import strategies as st  # noqa: E402
 from dynzsig import cli  # noqa: E402
 from dynzsig.cli import RunConfig, run_subcommand  # noqa: E402
 from dynzsig.divisibility import IdealPair, PrimitiveSplit  # noqa: E402
-from dynzsig.ratfield import IntegerModel, Polynomial  # noqa: E402
+from dynzsig.ratfield import IntegerModel, Polynomial, _decimal_bit_length, _to_decimal  # noqa: E402
 from dynzsig.zsigmondy import (  # noqa: E402
     DigitBudgetExceeded,
     OrbitRecord,
@@ -352,6 +352,133 @@ def test_records_off_their_map_exit_internal(how, command, fmt, stop, monkeypatc
     assert code == 4
     assert "internal error" in report and "orbit record" in diagnostics
     assert re.search(r"\d{12}", report) is None  # no term digits, not even those of the small records
+
+
+# ---------------------------------------------------------------------------
+# Orbits that finish on exact Decimals
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 19, 63, 64, 65, 1000, 4096, 33_219, 100_000, 332_193, 400_000])
+def test_decimal_bit_length_is_exact_at_powers_of_two(k):
+    for n in (2**k - 1, 2**k, 2**k + 1):
+        assert _decimal_bit_length(_to_decimal(n)) == n.bit_length()
+
+
+@given(bits=st.integers(0, 200_000), seed=st.integers(0, 2**32))
+@example(bits=70, seed=0)
+@settings(max_examples=60, deadline=None)
+def test_decimal_bit_length_matches_int_on_random_values(bits, seed):
+    n = random.Random(seed).getrandbits(bits)
+    assert _decimal_bit_length(_to_decimal(n)) == n.bit_length()
+
+
+def _build_both(phi: Polynomial, alpha: Fraction, n: int, budget: int):
+    """build_sequence's records or the exception it raised, for the int orbit
+    and for the orbit with a Decimal tail."""
+    out = []
+    for decimal_tail in (False, True):
+        try:
+            out.append(build_sequence(phi, alpha, n, digit_budget=budget, decimal_tail=decimal_tail))
+        except (DigitBudgetExceeded, PreperiodicPoint) as exc:
+            out.append(exc)
+    return out
+
+
+def _records_of(result):
+    return result.partial.records if isinstance(result, Exception) else result.records
+
+
+@given(
+    coeffs=st.integers(2, 3).flatmap(lambda d: st.tuples(*[_SMALL_Q] * d, _NONZERO_Q)),
+    alpha=_SMALL_Q,
+    n=st.integers(1, 40),
+    budget=st.sampled_from((1_500, 12_000, 30_000)),
+)
+@example(coeffs=(Fraction(1), Fraction(0), Fraction(1)), alpha=Fraction(0), n=19, budget=100_000)
+@example(coeffs=(Fraction(1, 3), Fraction(0), Fraction(1)), alpha=Fraction(2, 7), n=15, budget=100_000)
+@example(coeffs=(Fraction(1, 2), Fraction(0), Fraction(0), Fraction(1)), alpha=Fraction(0), n=9, budget=100_000)
+@example(coeffs=(Fraction(-7, 4), Fraction(0), Fraction(1)), alpha=Fraction(1, 3), n=40, budget=12_000)
+@settings(max_examples=40, deadline=None)
+def test_decimal_tail_records_equal_the_int_orbit(coeffs, alpha, n, budget, unlimited_str):
+    # z^3 + 1/2 at 0 has denominators that are powers of two, where the
+    # Decimal bit length takes its exact comparison
+    phi = Polynomial(coeffs)
+    ints, deep = _build_both(phi, alpha, n, budget)
+    assert type(ints) is type(deep)
+    if isinstance(ints, Exception):
+        assert str(ints) == str(deep) and getattr(ints, "index", None) == getattr(deep, "index", None)
+    int_records, deep_records = _records_of(ints), _records_of(deep)
+    on_decimals = [rec for rec in deep_records if rec.deep is not None]
+    assert all(2 * rec.n > n for rec in on_decimals)
+    # every field, the lazily made ints included, and the terms
+    assert [rec.value for rec in deep_records] == [rec.value for rec in int_records]
+    assert deep_records == int_records
+    assert [rec.ideal.A for rec in deep_records] == [rec.ideal.A for rec in int_records]
+    for rec in on_decimals:
+        x, y, N = rec.deep
+        assert (x, y, N) == (rec.sign * rec.ideal.A, rec.ideal.B, rec.split.nonprimitive_part)
+    if not isinstance(ints, Exception):
+        assert deep.terms() == ints.terms()
+
+
+def test_deep_records_start_past_leaf_bits_and_half_the_orbit():
+    seq = build_sequence(Polynomial([1, 0, 1]), 0, 19, decimal_tail=True)
+    first = next(rec.n for rec in seq.records if rec.deep is not None)
+    # A_14 of z^2 + 1 has 4,815 bits and A_13 2,408: steps 15..19 run on Decimals
+    assert first == 15 and seq.records[first - 2].ideal.A.bit_length() > cli._LEAF_BITS
+    assert seq.records[first - 3].ideal.A.bit_length() <= cli._LEAF_BITS
+    # history keeps the terms up to N/2 in int, however long they are
+    seq = build_sequence(Polynomial([10**420 - 1, 0, 1]), 0, 8, decimal_tail=True)
+    assert [rec.deep is None for rec in seq.records] == [True] * 4 + [False] * 4
+
+
+# M maps to Q = M / (M + 1), which z^2 - M(M + 2)/(M + 1) z + M fixes: at n = 3
+# the Decimal Q of step 3 repeats the Decimal Q of step 2, and at n = 4, where
+# step 2 is int, the int one.  The other two maps send M to 0 or to M, and at
+# n = 2 and 3 their Decimal step 2 meets the int start or the int M
+_REPEATS = [
+    Polynomial([_M, Fraction(-_M * (_M + 2), _M + 1), 1]),
+    Polynomial([_M, -(_M + 1), 1]),
+    Polynomial([_M, -_M, 1]),
+]
+
+
+@pytest.mark.parametrize("phi", _REPEATS)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_preperiodic_orbits_repeat_across_int_and_decimal_values(phi, n, unlimited_str):
+    ints, deep = _build_both(phi, Fraction(0), n, 100_000)
+    assert type(ints) is type(deep)
+    if isinstance(ints, Exception):
+        assert (str(deep), deep.index) == (str(ints), ints.index)
+    assert _records_of(deep) == _records_of(ints)
+    rows = cli._orbit_result(deep.partial if isinstance(deep, Exception) else deep)["records"]
+    assert rows == [_expected_fields(rec) for rec in _records_of(ints)]
+
+
+def _corrupt_deep(how: str, seq: OrbitSequence) -> OrbitSequence:
+    """seq with its last record, one on Decimals, off the map."""
+    rec = seq.records[-1]
+    x, y, N = rec.deep
+    if how == "sign":
+        rec = replace(rec, sign=-rec.sign)
+    elif how == "split":
+        rec = replace(rec, deep=(x, y, N * 10**9 + 7))
+    else:
+        with decimal.localcontext(cli._EXACT):
+            rec = replace(rec, deep=(x + 1, y, N))
+    return replace(seq, records=seq.records[:-1] + [rec])
+
+
+@pytest.mark.parametrize("how", ["sign", "split", "numerator"])
+def test_decimal_records_off_their_map_exit_internal(how, monkeypatch):
+    real = build_sequence(Polynomial([1, 0, 1]), 0, 17, decimal_tail=True)
+    assert real.records[-1].deep is not None
+    fake = _corrupt_deep(how, real)
+    monkeypatch.setattr(cli, "build_sequence", lambda *args, **kwargs: fake)
+    code, report, diagnostics = run_subcommand("orbit", dict(poly="z^2+1", n=17), RunConfig())
+    assert code == 4 and "orbit record 17" in diagnostics
+    assert re.search(r"\d{12}", report) is None
 
 
 def _context_state():
