@@ -146,8 +146,8 @@ def _coeff_bits(poly: Polynomial) -> float:
     numerator plus denominator bits of every coefficient.  Both factors are
     submultiplicative, so a product's bound is at most the sum of its
     factors' and a power's at most the exponent times its base's."""
-    den = math.lcm(*(c.denominator for c in poly.coeffs))
-    norm = sum(abs(c.numerator) * (den // c.denominator) for c in poly.coeffs)
+    den, numerators = poly.integer_vector()
+    norm = sum(map(abs, numerators))
     return math.log2(den) + math.log2(max(norm, 1))
 
 
@@ -923,7 +923,7 @@ def _run(name: str, args: dict, config: RunConfig):
         except PreperiodicPoint as exc:
             result = {"error": str(exc), "reason": "preperiodic point"}
             if isinstance(exc.partial, OrbitSequence):
-                result["partial"] = _orbit_result(exc.partial)
+                result["partial"], rows = _orbit_output(exc.partial, config.fmt)
             code = EXIT_HYPOTHESIS
             diagnostics = f"hypothesis violated: {exc}"
         except DigitBudgetExceeded as exc:

@@ -440,14 +440,3 @@ def rigid_check(
         violations=violations,
     )
 
-
-def nonprimitive_bound_check(n: int, splits: list[PrimitiveSplit], S: "PlaceSet") -> bool:
-    """Exact check that the prime-to-S norm of the non-primitive part of term n
-    is at most that of the product of primitive parts over proper divisors."""
-    if n < 2:
-        raise ValueError("nonprimitive_bound_check requires n >= 2")
-    if len(splits) < n:
-        raise ValueError("splits for indices 1..n are required")
-    lhs = prime_to_s_norm(splits[n - 1].nonprimitive_part, S)
-    product = prod(splits[i - 1].primitive_part for i in range(1, n) if n % i == 0)
-    return lhs <= prime_to_s_norm(product, S)

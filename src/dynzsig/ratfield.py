@@ -1,13 +1,16 @@
 """Exact arithmetic over Q: dense polynomials, projective points, and
-IntegerModel, the one engine every exact orbit runs on and the one place a
-map's coefficients are scaled to integers.
+IntegerModel, the one engine every exact orbit runs on.
+Polynomial.integer_vector is the one place a map's coefficients are scaled
+to integers.
 
 Integers are plain Python ints (arbitrary precision, canonical zero) and
 rationals are fractions.Fraction (always reduced, positive denominator), so
-the two base number types need no wrapper classes here.  Orbits run on
-coprime integer pairs instead, where Fraction would run a big gcd per step;
-an orbit whose terms will be printed in decimal may finish on exact
-decimal.Decimal pairs (IntegerModel.orbit).
+the two base number types need no wrapper classes here.  Polynomial products
+and powers run on integer vectors and reduce each result coefficient once,
+where a Fraction product would normalize a multiply and an add per pair of
+coefficients.  Orbits run on coprime integer pairs instead, where Fraction
+would run a big gcd per step; an orbit whose terms will be printed in
+decimal may finish on exact decimal.Decimal pairs (IntegerModel.orbit).
 """
 
 from __future__ import annotations
@@ -92,6 +95,11 @@ class Polynomial:
     Immutable: coefficients are stored as a tuple of Fractions with trailing
     zeros stripped, so equality and hashing are structural.  The zero
     polynomial has degree -1.
+
+    * and ** scale each operand once to its integer vector (D, D * coeffs),
+    convolve the integers, and divide by the product of the D's (by D^n for
+    a power) once per coefficient (von zur Gathen-Gerhard, Modern Computer
+    Algebra, 6.2); divmod and the gcds run on Fractions.
     """
 
     __slots__ = ("coeffs",)
@@ -178,34 +186,31 @@ class Polynomial:
             return NotImplemented
         return other + (-self)
 
+    def integer_vector(self) -> tuple[int, list[int]]:
+        """(D, [D * c for c in coeffs]) with D the lcm of the coefficient
+        denominators: the integer vector every product and IntegerModel run on."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return den, [c.numerator * (den // c.denominator) for c in self.coeffs]
+
     def __mul__(self, other) -> "Polynomial":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        (da, a), (db, b) = self.integer_vector(), other.integer_vector()
+        return _over(_convolve(a, b), da * db)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:  # the last square would go unused
-                base = base * base
-        return result
+        den, base = self.integer_vector()
+        result = [1]
+        for bit in bin(n)[2:]:  # left to right: square, then multiply by the base at a 1 bit
+            result = _convolve(result, result)
+            if bit == "1":
+                result = _convolve(result, base)
+        return _over(result, den**n)
 
     def __call__(self, x: Coefficient) -> Fraction:
         """Evaluate by Horner's rule; exact."""
@@ -276,6 +281,24 @@ class Polynomial:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """Coefficients of the product of two integer polynomials, each given
+    from degree 0 upward; the empty list is the zero polynomial."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _over(numerators: list[int], den: int) -> Polynomial:
+    """The polynomial with coefficients numerators[i] / den, each reduced once."""
+    return Polynomial([Fraction(c, den) for c in numerators])
 
 
 def _coerce(x) -> "Polynomial":
@@ -473,8 +496,7 @@ class IntegerModel:
     def __init__(self, phi: Polynomial):
         if phi.degree < 1:
             raise ValueError("IntegerModel requires degree >= 1")
-        self.scale = lcm(*(c.denominator for c in phi.coeffs))
-        coeffs = [int(c * self.scale) for c in phi.coeffs]
+        self.scale, coeffs = phi.integer_vector()
         self.lead, self.lower = coeffs[-1], coeffs[-2::-1]  # lower: f_(d-1), ..., f_0
         self.k = self.scale * abs(self.lead)
         d, tail = len(self.lower), sum(map(abs, self.lower))

@@ -9,8 +9,8 @@ from itertools import compress
 from math import gcd, isqrt, lcm, prod
 from typing import Union
 
-from dynzsig.divisibility import _CHUNK, IdealPair, PrimitiveSplit, primitive_split, valuation
-from dynzsig.heights import Place, log_int
+from dynzsig.divisibility import _CHUNK, IdealPair, PrimitiveSplit, prime_to_s_norm, primitive_split, valuation
+from dynzsig.heights import Place, PlaceSet, log_int
 from dynzsig.ratfield import Coefficient, Polynomial, ProjPoint, as_rational, poly_gcd
 
 
@@ -137,9 +137,52 @@ def rational_map_height(phi: Union[RationalMap, Polynomial]) -> float:
     return log_int(max(abs(c) for c in num + den))
 
 
+def fraction_product(f: Polynomial, g: Polynomial) -> Polynomial:
+    """f * g by one normalizing Fraction multiply and add per pair of
+    coefficients, as Polynomial multiplied before its products ran on
+    integer vectors."""
+    if f.is_zero or g.is_zero:
+        return Polynomial.zero()
+    out = [Fraction(0)] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        if a == 0:
+            continue
+        for j, b in enumerate(g.coeffs):
+            out[i + j] += a * b
+    return Polynomial(out)
+
+
+def fraction_power(f: Polynomial, n: int) -> Polynomial:
+    """f ** n as n products by fraction_product."""
+    result = Polynomial.one()
+    for _ in range(n):
+        result = fraction_product(result, f)
+    return result
+
+
+def fraction_compose(f: Polynomial, inner: Polynomial) -> Polynomial:
+    """f(inner(z)) by Horner's rule on fraction_product."""
+    acc = Polynomial.zero()
+    for c in reversed(f.coeffs):
+        acc = fraction_product(acc, inner) + Polynomial.constant(c)
+    return acc
+
+
 def monomial(c: Coefficient, k: int) -> Polynomial:
     """The polynomial c * z^k."""
     return Polynomial((0,) * k + (c,))
+
+
+def nonprimitive_bound_check(n: int, splits: list[PrimitiveSplit], S: PlaceSet) -> bool:
+    """Exact check that the prime-to-S norm of the non-primitive part of term n
+    is at most that of the product of primitive parts over proper divisors."""
+    if n < 2:
+        raise ValueError("nonprimitive_bound_check requires n >= 2")
+    if len(splits) < n:
+        raise ValueError("splits for indices 1..n are required")
+    lhs = prime_to_s_norm(splits[n - 1].nonprimitive_part, S)
+    product = prod(splits[i - 1].primitive_part for i in range(1, n) if n % i == 0)
+    return lhs <= prime_to_s_norm(product, S)
 
 
 def has_primitive_divisor(A_n: int, history) -> bool:

@@ -16,7 +16,6 @@ import pytest
 
 from dynzsig.cli import RunConfig, run_subcommand
 from dynzsig.divisibility import (
-    nonprimitive_bound_check,
     primitive_split,
     rigid_check,
 )
@@ -48,7 +47,7 @@ from dynzsig.zsigmondy import (
     history_predicate,
     startup_predicate,
 )
-from oracles import rational_height
+from oracles import nonprimitive_bound_check, rational_height
 
 S_INF = PlaceSet()
 SQUARE_PLUS_ONE = Polynomial([1, 0, 1])

@@ -23,7 +23,6 @@ from dynzsig.divisibility import (
     decimal_digits,
     factor,
     is_probable_prime,
-    nonprimitive_bound_check,
     prime_to_s_norm,
     primitive_split,
     rigid_check,
@@ -33,7 +32,14 @@ from dynzsig.divisibility import (
 from dynzsig.heights import PlaceSet
 from dynzsig.ratfield import _EXACT, Polynomial, _to_decimal
 from dynzsig.zsigmondy import FamilyFactor, FamilySpec, family_build, valuation_stability_check
-from oracles import brent_rho, has_primitive_divisor, ideal_pair, prime_chunks, primitive_split_by_terms
+from oracles import (
+    brent_rho,
+    has_primitive_divisor,
+    ideal_pair,
+    nonprimitive_bound_check,
+    prime_chunks,
+    primitive_split_by_terms,
+)
 
 S_INF = PlaceSet()
 

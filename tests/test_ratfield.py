@@ -5,9 +5,9 @@ from math import gcd
 import pytest
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
-except ImportError:  # the sympy differential below needs hypothesis
+except ImportError:  # the differentials below need hypothesis
     st = None
 
 from dynzsig.ratfield import (
@@ -21,7 +21,7 @@ from dynzsig.ratfield import (
     poly_gcd,
     squarefree_decomposition,
 )
-from oracles import RationalMap, reverse_map
+from oracles import RationalMap, fraction_compose, fraction_power, fraction_product, reverse_map
 
 Z = Polynomial.identity()
 
@@ -252,6 +252,71 @@ if st is not None:
             (m, q) for q, m in decomposition
         )
         assert is_powerful(decomposition) == (bool(expected) and all(m >= 2 for _, m in expected))
+
+
+# --- products on integer vectors ---------------------------------------------
+
+if st is not None:
+    # small, negative and large coefficients over mixed denominators; the empty
+    # list is the zero polynomial and one entry a constant
+    coefficients = st.one_of(
+        st.integers(-9, 9),
+        st.fractions(min_value=-9, max_value=9, max_denominator=30),
+        st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**15)),
+    )
+    polys = st.lists(coefficients, max_size=7).map(Polynomial)
+    short_polys = st.lists(coefficients, max_size=4).map(Polynomial)
+    ZERO = Polynomial.zero()
+
+    @settings(max_examples=300, deadline=None)
+    @given(polys, polys)
+    @example(ZERO, ZERO)
+    @example(ZERO, Polynomial([Fraction(-3, 7), 1]))
+    @example(Polynomial([Fraction(5, 6)]), Polynomial([Fraction(-1, 4), 0, 10**30]))
+    def test_product_matches_the_fraction_loop(f, g):
+        expected = fraction_product(f, g)
+        assert f * g == expected and g * f == expected
+        assert all(type(c) is Fraction for c in (f * g).coeffs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(polys, st.integers(0, 8))
+    @example(ZERO, 0)
+    @example(ZERO, 3)
+    @example(Polynomial([Fraction(-7, 12)]), 8)
+    def test_power_matches_repeated_fraction_products(f, n):
+        assert f**n == fraction_power(f, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(short_polys, short_polys, st.integers(-9, 9))
+    @example(ZERO, Polynomial([1, 1]), 2)
+    @example(Polynomial([Fraction(2, 3), 1]), ZERO, 1)
+    def test_scalar_products_and_composition_match_the_fraction_loop(f, g, k):
+        assert k * f == f * k == fraction_product(f, Polynomial.constant(k))
+        assert f.compose(g) == fraction_compose(f, g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(short_polys.filter(lambda f: f.degree >= 1), coefficients)
+    @example(Polynomial([1, 0, 1]), Fraction(-5, 4))
+    def test_conjugate_matches_the_fraction_loop(phi, alpha):
+        expected = fraction_compose(phi, Polynomial([alpha, 1])) - Polynomial.constant(alpha)
+        assert conjugate(phi, alpha) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(polys, short_polys, st.integers(0, 8))
+    def test_products_match_sympy(f, g, n):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def to_sympy(p):
+            coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+            return sympy.Poly(coeffs or [0], x, domain=sympy.QQ)
+
+        def from_sympy(p):
+            return Polynomial(Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
+
+        assert f * g == from_sympy(to_sympy(f) * to_sympy(g))
+        assert f**n == from_sympy(to_sympy(f) ** n)
+        assert f.compose(g) == from_sympy(to_sympy(f).compose(to_sympy(g)))
 
 
 # --- reverse_map -----------------------------------------------------------

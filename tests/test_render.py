@@ -238,6 +238,14 @@ def _expected_fields(rec) -> dict:
 
 def _check_report(code, report, records, fmt):
     assert code in (0, 1, 3)
+    if fmt == "csv":
+        rows = [
+            (rec.n, len(str(max(rec.ideal.A, rec.ideal.B))), len(str(rec.ideal.A)), int(rec.primitive),
+             len(str(rec.split.primitive_part)), len(str(rec.split.nonprimitive_part)))
+            for rec in records
+        ]
+        assert report.splitlines() == [cli._CSV_HEADER, *(",".join(map(str, row)) for row in rows)]
+        return
     if fmt == "json":
         result = json.loads(report)["result"]
         rows = (result if code == 0 else result["partial"])["records"]
@@ -278,7 +286,7 @@ _M = 3**3000 // 7
 
 
 @pytest.mark.parametrize("poly", [f"(z-1)*(z-{_M})", f"z^2-{_M}*z+{_M}", f"(z-1)*(z-{_M}/7)"])
-@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
 def test_preperiodic_partial_records_are_replayed(poly, fmt, unlimited_str):
     code, report, records = _run_orbit(poly, Fraction(0), 8, fmt, 100_000)
     assert code == 1 and len(records) == 1
