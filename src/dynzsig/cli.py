@@ -51,8 +51,8 @@ from .heights import (
     sum_local_at_infinity,
     weil_height,
 )
-from .ratfield import (  # noqa: F401  _pow2, the converter's power table, goes with _to_decimal
-    _EXACT, _LEAF_BITS, IntegerModel, Polynomial, ProjPoint, _pow2, _to_decimal, is_powerful, squarefree_decomposition
+from .ratfield import (
+    _EXACT, _LEAF_BITS, IntegerModel, Polynomial, ProjPoint, _to_decimal, is_powerful, squarefree_decomposition
 )
 from .zsigmondy import (
     BoundInputs,
@@ -296,7 +296,15 @@ def parse_poly(text: str) -> ParsedPoly:
     return _Parser(text).parse()
 
 
-def parse_rational(text: str) -> Fraction:
+def parse_rational(text: str, max_digits: int) -> Fraction:
+    """text as an exact Fraction.  Fraction builds 10**e for an exponent e,
+    which no int<->str limit meets, so a power of ten of more than max_digits
+    digits (e >= max_digits; the run's limit, RunConfig.str_digits) is refused
+    before it is built."""
+    _, e, exponent = text.strip().lower().rpartition("e")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (len(digits) > len(str(max_digits)) or int(digits) >= max_digits):
+        raise ParseError(f"invalid rational {text!r}: a power of ten of more than {max_digits} digits", 0)
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -332,6 +340,10 @@ class RunConfig:
             raise ValueError("tolerance must be in (0, 1)")
         if self.fmt not in ("json", "csv", "text"):
             raise ValueError(f"unknown format {self.fmt!r}")
+
+    def str_digits(self) -> int:
+        """The run's int<->str digit limit: orbit values outgrow the default."""
+        return max(10_000, self.digit_budget * 4)
 
     def factor_budget(self) -> FactorBudget:
         return FactorBudget(
@@ -532,10 +544,9 @@ def _orbit_result(seq: OrbitSequence) -> dict:
     """The records of an orbit report.  A record of at most _LEAF_BITS prints
     with str.  A longer one prints its exact Decimal pair, rec.deep or its
     ints through _to_decimal, with P = A / N, and its value must equal mod p =
-    _CHECK_PRIME the orbit stepped on residues: from m = p * k^(d * len + 1),
-    a step divides by a divisor of k^d (IntegerModel), so after step n the
-    residues hold mod p * k^(d * (len - n) + 1).  A record that disagrees, or
-    whose N does not divide A, stops the report before it prints."""
+    _CHECK_PRIME the orbit stepped on residues (IntegerModel.orbit_mod).  A
+    record that disagrees, or whose N does not divide A, stops the report
+    before it prints."""
     records, p, stepped = [], _CHECK_PRIME, 0
     with decimal.localcontext(_EXACT):
         for rec in seq.records:
@@ -544,16 +555,13 @@ def _orbit_result(seq: OrbitSequence) -> dict:
                 P, N = str(rec.split.primitive_part), str(rec.split.nonprimitive_part)
             else:
                 if not stepped:  # residues are stepped only as far as a long record needs
-                    model = IntegerModel(seq.centered)
-                    shrink = model.k ** len(model.lower)
-                    residues, m = (0, 1), p * model.k * shrink ** len(seq.records)
+                    orbit = IntegerModel(seq.centered).orbit_mod(0, 1, len(seq.records), p)
                 for stepped in range(stepped + 1, rec.n + 1):
-                    m //= shrink
-                    residues = [r % m for r in model(*residues)]
+                    residues = next(orbit)
                 x, y, N = rec.deep or (_to_decimal(rec.ideal.A), _to_decimal(rec.ideal.B), rec.split.nonprimitive_part)
                 a, n = x.copy_abs(), _to_decimal(N)
                 P, r = divmod(a, n)
-                if r or [rec.sign * int(a % p) % p, int(y % p)] != [v % p for v in residues]:
+                if r or (rec.sign * int(a % p) % p, int(y % p)) != residues:
                     raise RuntimeError(f"orbit record {rec.n} disagrees with the orbit of its map")
                 a, b, P, N = str(a), str(y), str(P), str(n)
             # as str(rec.value), without converting A and B again
@@ -619,7 +627,7 @@ def _build_orbit(args: dict, config: RunConfig, printed: bool = False):
     """The requested orbit; printed, for a json or text orbit report, runs its
     deep terms on exact Decimals (build_sequence's decimal_tail)."""
     parsed = parse_poly(args["poly"])
-    alpha = parse_rational(args.get("alpha") or "0")
+    alpha = parse_rational(args.get("alpha") or "0", config.str_digits())
     N = 8 if args.get("n") is None else int(args["n"])
     return build_sequence(parsed.poly, alpha, N, digit_budget=config.digit_budget, decimal_tail=printed)
 
@@ -669,7 +677,7 @@ def _cmd_rigid_check(args: dict, config: RunConfig):
 
 def _cmd_heights(args: dict, config: RunConfig):
     parsed = parse_poly(args["poly"])
-    value = parse_rational(args["alpha"])
+    value = parse_rational(args["alpha"], config.str_digits())
     places = _place_set(args.get("places"))
     point = ProjPoint.from_value(value)
     bound = height_comparison_bound(parsed.poly)
@@ -824,7 +832,7 @@ def _cmd_family_check(args: dict, config: RunConfig):
             "orbit_digits": growth.orbit_digits,
             "exponent_floors": [str(f) for f in growth.exponent_floors],
         }
-        places = denominator_place_set([f.base() for f in spec.factors])
+        places = PlaceSet()  # family_build has proved every base integral: no denominator primes
         cache = _open_cache(config)
         warnings.extend(cache.warnings if cache else [])
         stability = valuation_stability_check(
@@ -894,7 +902,7 @@ def run_subcommand(name: str, args: dict, config: RunConfig):
     # orbit values outgrow the default int->str guard: raise it for this call only
     saved = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if saved is not None:
-        sys.set_int_max_str_digits(max(10_000, config.digit_budget * 4))
+        sys.set_int_max_str_digits(config.str_digits())
     try:
         return _run(name, args, config)
     finally:

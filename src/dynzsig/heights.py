@@ -138,17 +138,15 @@ def weil_height(P: ProjPoint) -> float:
 
 def map_height(phi: Polynomial) -> float:
     """Projective coefficient height log max(L, |f_0|, ..., |f_d|), read off
-    the integer model phi = F(X, Y) / (L Y^d) with f_i = L c_i.
+    the integer vector (L, [f_i = L c_i]) of Polynomial.integer_vector.
 
     The vector (f_0, ..., f_d, L) is already coprime: for p^e exactly
     dividing L, the coefficient whose denominator carries p^e gives an f_i
     prime to p.  A constant map's vector is its value's, and the zero map
     has height 0.
     """
-    if phi.degree < 1:
-        return weil_height(ProjPoint.from_value(phi.lead))
-    model = IntegerModel(phi)
-    return log_int(max(model.scale, abs(model.lead), *(abs(c) for c in model.lower)))
+    scale, coeffs = phi.integer_vector()
+    return log_int(max([scale, *map(abs, coeffs)]))
 
 
 def _cross(P: ProjPoint, Q: ProjPoint) -> int:

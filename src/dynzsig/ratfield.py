@@ -448,10 +448,7 @@ class IntegerModel:
     big-by-big gcd.  Reading the reduction from residues mod k lets the same
     step run on ints, on exact decimal.Decimal pairs under a context that
     cannot round, as orbit's printed terms do (Decimal's % keeps the
-    dividend's sign, which gcd ignores), and on residues mod any multiple m
-    of k, as the report renderer checks an orbit: each division by t leaves
-    a residue mod m / t, and the divisions of one step multiply to g, which
-    divides L * f_d^d and hence k^d (below).
+    dividend's sign, which gcd ignores), and on residues (orbit_mod).
 
     Size lemma: write bits(x) = x.bit_length() and H = max(|a|, b) for the
     input and H' = max(|a'|, b') for the output (a', b') = model(a, b).  Then
@@ -491,7 +488,7 @@ class IntegerModel:
     Arithmetic, 1.3.6): a step of z^2 + c is two squarings.
     """
 
-    __slots__ = ("lead", "lower", "scale", "k", "drop", "steps")
+    __slots__ = ("lead", "lower", "scale", "k", "drop", "reach", "steps")
 
     def __init__(self, phi: Polynomial):
         if phi.degree < 1:
@@ -501,6 +498,7 @@ class IntegerModel:
         self.k = self.scale * abs(self.lead)
         d, tail = len(self.lower), sum(map(abs, self.lower))
         self.drop = max(1 + self.scale.bit_length() + d * self.lead.bit_length(), d * (1 + tail.bit_length()))
+        self.reach = max(abs(self.lead), self.scale + tail)
         # (gap, f_i) per nonzero f_i, top down, then (gap, 0) down to i = 0 if f_0 = 0
         folds = [i for i in range(d - 1, -1, -1) if coeffs[i] or i == 0]
         self.steps = [(top - i, coeffs[i]) for top, i in zip([d, *folds], folds)]
@@ -530,6 +528,30 @@ class IntegerModel:
             num, den = num // t, den // t
             t = gcd(int(den % k), int(num % k), k)
         return num, den
+
+    def escapes(self, a: int, b: int) -> bool:
+        """Whether a/b (b > 0) is past the escape radius max(1, (1 + sum_(i<d)
+        |c_i|) / |c_d|), beyond which |phi(x)| > |x| and the absolute value
+        grows strictly forever; both sides times |f_d| = L * |c_d|, so the
+        test is |a| * |f_d| > max(|f_d|, L + sum_(i<d) |f_i|) * b."""
+        return abs(a) * abs(self.lead) > self.reach * b
+
+    def orbit_mod(self, a: int, b: int, steps: int, modulus: int) -> Iterator[tuple[int, int]]:
+        """Yield phi^n(a/b), n = 1..steps, for a coprime pair (a, b), b > 0, as
+        its pair mod modulus >= 1, without building the values.  The step reads
+        its reduction from residues mod k, so it runs mod any multiple m of k:
+        each division by t leaves a residue mod m / t, and the divisions of
+        one step multiply to g, which divides L * f_d^d and hence k^d (size
+        lemma, first point).  So the pair is stepped mod
+        modulus * k^(d * steps + 1), divided by k^d after each step."""
+        shrink = self.k ** len(self.lower)
+        m = modulus * self.k * shrink**steps
+        a, b = a % m, b % m
+        for _ in range(steps):
+            m //= shrink
+            a, b = self(a, b)
+            a, b = a % m, b % m
+            yield a % modulus, b % modulus
 
     def orbit(
         self, start: Coefficient, steps: int, digit_budget: Optional[int] = None, *, track=False, partial=None,

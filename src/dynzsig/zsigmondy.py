@@ -221,16 +221,12 @@ def wandering_verdict(
     """
     if phi.degree < 2:
         raise ValueError("wandering_verdict requires degree >= 2")
-    # |a| / b > max(1, (1 + sum_(i<d) |c_i|) / |c_d|), the escape radius, with
-    # both sides times |f_d| = L |c_d| to stay in integers
     model = IntegerModel(phi)
-    lead = abs(model.lead)
-    reach = max(lead, model.scale + sum(abs(c) for c in model.lower))
     height_ceiling = height_comparison_bound(phi) + 1.0
 
     try:
         for a, b in model.orbit(alpha, max(1, probe), track=True):
-            if abs(a) * lead > reach * b or log_int(max(abs(a), b)) > height_ceiling:
+            if model.escapes(a, b) or log_int(max(abs(a), b)) > height_ceiling:
                 return "wandering"
     except PreperiodicPoint:
         return "preperiodic"

@@ -103,10 +103,43 @@ def test_parse_empty():
 
 
 def test_parse_rational_values():
-    assert parse_rational("26/5") == Fraction(26, 5)
-    assert parse_rational("-7") == -7
+    limit = RunConfig().str_digits()
+    assert parse_rational("26/5", limit) == Fraction(26, 5)
+    assert parse_rational("-7", limit) == -7
     with pytest.raises(ParseError):
-        parse_rational("1/0")
+        parse_rational("1/0", limit)
+
+
+def test_parse_rational_refuses_an_exponent_past_its_limit():
+    # 10**399_999 has 400,000 digits, the most the limit admits
+    assert parse_rational("1e000399_999", 400_000) == 10**399_999
+    assert parse_rational("-1E-399999", 400_000) == Fraction(-1, 10**399_999)
+    for text in ("1e400000", "1e4_000_01", "2.5e+9999999", "1e" + "9" * 5000):
+        with pytest.raises(ParseError, match="power of ten of more than 400000 digits"):
+            parse_rational(text, 400_000)
+
+
+# Fraction builds 10**e for an exponent e, which the int<->str limit of the run,
+# max(10_000, 4 * digit budget) = 400,000 digits here, never meets
+@pytest.mark.parametrize("alpha", ["1e30000000", "-1e-30000000", "2.5E+9999999"])
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("orbit", dict(poly="z^2+1", n=3)),
+        ("heights", dict(poly="z^2+1")),
+        ("bound", dict(poly="z^2+1", n=3, d="3", B="1", hhat="1", htilde="1", gamma="1", s_size="1")),
+    ],
+)
+def test_alpha_exponent_past_the_int_str_limit_exits_usage(command, args, alpha):
+    start = time.perf_counter()
+    code, _, diag = run(command, alpha=alpha, **args)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and "power of ten of more than 400000 digits" in diag
+
+
+def test_alpha_exponent_within_the_limit_meets_the_digit_budget():
+    code, _, diag = run("orbit", RunConfig(fmt="csv"), poly="z^2+1", alpha="1e300000", n=3)
+    assert code == 3 and "exceeds 100000 digits" in diag
 
 
 def test_print_parse_round_trip():

@@ -431,3 +431,60 @@ def test_growth_orbit_matches_integer_horner(factors, N, digit_budget):
     square_ok = orbit[0] ** 2 >= 4 and all(abs(orbit[n - 1]) > orbit[n - 2] ** 2 for n in range(2, N + 1))
     assert report.square_growth_ok == square_ok
     assert report.orbit_digits == [len(str(abs(v))) for v in orbit]  # all below 10,000 bits
+
+
+# --- the residue orbit and the escape test ------------------------------------------------
+
+
+@st.composite
+def residue_orbits(draw):
+    """A map, a start, the number of orbit values to skip from it, a number
+    of steps and a modulus: 1, the check prime 2^30 - 35, a prime power, or
+    a multiple of the model's k."""
+    phi = draw(st.one_of(maps(), powerful_maps()))
+    start = draw(st.one_of(st.just(Fraction(0)), starts))
+    steps = draw(st.integers(1, 8))
+    skip = draw(st.integers(0, 8 - steps))
+    k = IntegerModel(phi).k
+    modulus = draw(
+        st.one_of(
+            st.sampled_from([1, 2**30 - 35]),
+            st.tuples(st.sampled_from([2, 3, 5, 7, 2**30 - 35]), st.integers(1, 40)).map(lambda pe: pe[0] ** pe[1]),
+            st.integers(1, 10**6).map(lambda c: c * k),
+        )
+    )
+    return phi, start, skip, steps, modulus
+
+
+@SETTINGS
+@given(residue_orbits())
+@example((Polynomial([1, 0, 2]), Fraction(0), 0, 8, 2**30 - 35))  # sparse, lead 2: k = 2
+@example((Polynomial([0, Fraction(1, 5), 0, 0, 1]), Fraction(0), 2, 4, 5**12))  # gap 3, f_0 = 0, k = 5
+@example((Polynomial([Fraction(1, 3), Fraction(1, 2), 9]), Fraction(0), 3, 5, 54))  # dense, k = 54, modulus k
+@example((Polynomial([Fraction(-3, 4), 0, 1]), Fraction(0), 1, 7, 1))  # modulus 1
+@example((Polynomial([-1, 0, 1]), Fraction(0), 0, 6, 2**30 - 35))  # a cycle of 0 and -1
+# -2z^4 + 3z^3 - 2z - 1 at -1/2: F(-1, 2) = -8 and L * b^4 = 16, so the step
+# divides by 8, more than k = 2, and the residues mod 3 * 2^5 must allow it
+@example((Polynomial([-1, -2, 0, 3, -2]), Fraction(-1, 2), 0, 1, 3))
+def test_orbit_mod_is_the_exact_orbit_reduced(case):
+    phi, start, skip, steps, modulus = case
+    x, exact = start, []
+    for _ in range(skip + steps):
+        x = phi(x)
+        exact.append((x.numerator, x.denominator))
+    a, b = exact[skip - 1] if skip else (start.numerator, start.denominator)
+    got = list(IntegerModel(phi).orbit_mod(a, b, steps, modulus))
+    assert got == [(a % modulus, b % modulus) for a, b in exact[skip:]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_maps(), coprime_pairs(40))
+@example(Polynomial([1, 0, 1]), (2, 1))  # on the radius 2
+@example(Polynomial([1, 0, 1]), (-5, 2))
+@example(Polynomial([0, 0, 3]), (1, 1))  # radius 1, as 1/3 < 1
+@example(Polynomial([0, 0, 3]), (3, 2))
+@example(Polynomial([Fraction(1, 2), Fraction(-1, 3), Fraction(-1, 6)]), (-11, 1))  # radius 11 = (1 + 5/6) * 6
+def test_escapes_is_the_escape_radius(phi, pair):
+    a, b = pair
+    radius = max(Fraction(1), (1 + sum(abs(c) for c in phi.coeffs[:-1])) / abs(phi.lead))
+    assert IntegerModel(phi).escapes(a, b) == (abs(Fraction(a, b)) > radius)

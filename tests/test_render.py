@@ -22,7 +22,7 @@ from hypothesis import strategies as st  # noqa: E402
 from dynzsig import cli  # noqa: E402
 from dynzsig.cli import RunConfig, run_subcommand  # noqa: E402
 from dynzsig.divisibility import IdealPair, PrimitiveSplit  # noqa: E402
-from dynzsig.ratfield import IntegerModel, Polynomial, _decimal_bit_length, _to_decimal  # noqa: E402
+from dynzsig.ratfield import IntegerModel, Polynomial, _decimal_bit_length, _pow2, _to_decimal  # noqa: E402
 from dynzsig.zsigmondy import (  # noqa: E402
     DigitBudgetExceeded,
     OrbitRecord,
@@ -87,7 +87,7 @@ _PART = st.one_of(
 @settings(max_examples=40, deadline=None)
 def test_converter_matches_str_at_split_widths(p, q, negative, cold):
     if cold:
-        cli._pow2.cache_clear()
+        _pow2.cache_clear()
     assert str(cli._to_decimal(p)) == str(p)
     assert str(cli._to_decimal(p * q)) == str(p * q)
     n = -(p * q + 1) if negative else p * q + 1
@@ -360,6 +360,28 @@ def test_records_off_their_map_exit_internal(how, command, fmt, stop, monkeypatc
     assert code == 4
     assert "internal error" in report and "orbit record" in diagnostics
     assert re.search(r"\d{12}", report) is None  # no term digits, not even those of the small records
+
+
+def test_only_long_records_step_the_residue_orbit(monkeypatch):
+    # z^2 + 1 from 0: A_13 has 2,408 bits, within _LEAF_BITS; A_14 has 4,815
+    short = build_sequence(Polynomial([1, 0, 1]), 0, 13)
+    assert max(rec.ideal.A.bit_length() for rec in short.records) <= cli._LEAF_BITS
+
+    def refuse(*args):
+        raise AssertionError("a report of short records stepped residues")
+
+    monkeypatch.setattr(IntegerModel, "orbit_mod", refuse)
+    assert run_subcommand("orbit", dict(poly="z^2+1", n=13), RunConfig())[0] == 0
+    monkeypatch.undo()
+    calls, orbit_mod = [], IntegerModel.orbit_mod
+
+    def counted(self, *args):
+        calls.append(args)
+        return orbit_mod(self, *args)
+
+    monkeypatch.setattr(IntegerModel, "orbit_mod", counted)
+    assert run_subcommand("orbit", dict(poly="z^2+1", n=14), RunConfig())[0] == 0
+    assert calls == [(0, 1, 14, cli._CHECK_PRIME)]
 
 
 # ---------------------------------------------------------------------------
