@@ -48,11 +48,10 @@ from .heights import (
     height_comparison_bound,
     local_log_distance,
     map_height,
-    sum_local_at_infinity,
     weil_height,
 )
 from .ratfield import (
-    _EXACT, _LEAF_BITS, IntegerModel, Polynomial, ProjPoint, _to_decimal, is_powerful, squarefree_decomposition
+    _EXACT, _LEAF_BITS, IntegerModel, Polynomial, _to_decimal, is_powerful, squarefree_decomposition
 )
 from .zsigmondy import (
     BoundInputs,
@@ -499,22 +498,25 @@ def _render_json(report: dict) -> str:
 
 def _render_text(report: dict) -> str:
     lines: list[str] = []
-
-    def walk(prefix: str, obj):
-        if isinstance(obj, dict):
-            for key in sorted(obj):
-                walk(f"{prefix}{key}.", obj[key])
-        elif isinstance(obj, list):
-            if all(not isinstance(v, (dict, list)) for v in obj):
-                lines.append(f"{prefix[:-1]}: {' '.join(str(v) for v in obj)}")
-            else:
-                for i, v in enumerate(obj):
-                    walk(f"{prefix}{i}.", v)
-        else:
-            lines.append(f"{prefix[:-1]}: {obj}")
-
-    walk("", report)
+    _walk_text(lines, "", report)
     return "\n".join(lines) + "\n"
+
+
+def _walk_text(lines: list[str], prefix: str, obj):
+    """Appends a line "dotted.key: value" per leaf of obj.  A plain function,
+    not a closure: a recursive closure refers to itself through its cell, and
+    that cycle would outlive every text report until a full collection."""
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            _walk_text(lines, f"{prefix}{key}.", obj[key])
+    elif isinstance(obj, list):
+        if all(not isinstance(v, (dict, list)) for v in obj):
+            lines.append(f"{prefix[:-1]}: {' '.join(str(v) for v in obj)}")
+        else:
+            for i, v in enumerate(obj):
+                _walk_text(lines, f"{prefix}{i}.", v)
+    else:
+        lines.append(f"{prefix[:-1]}: {obj}")
 
 
 _CSV_HEADER = "n,value_digits,A_digits,primitive,P_digits,N_digits"
@@ -678,8 +680,8 @@ def _cmd_rigid_check(args: dict, config: RunConfig):
 def _cmd_heights(args: dict, config: RunConfig):
     parsed = parse_poly(args["poly"])
     value = parse_rational(args["alpha"], config.str_digits())
+    a, b = value.numerator, value.denominator
     places = _place_set(args.get("places"))
-    point = ProjPoint.from_value(value)
     bound = height_comparison_bound(parsed.poly)
     # reversing the coefficients (conjugating by z -> 1/z) permutes the
     # integer coefficient vector, so both maps have the same height
@@ -690,7 +692,7 @@ def _cmd_heights(args: dict, config: RunConfig):
     result = {
         "poly": str(parsed.poly),
         "point": str(value),
-        "weil_height": _real(weil_height(point)),
+        "weil_height": _real(weil_height(a, b)),
         "map_height": h_map,
         "reversed_map_height": h_map,
         "comparison_bound": _real(bound),
@@ -698,16 +700,14 @@ def _cmd_heights(args: dict, config: RunConfig):
         "places": [str(p) for p in places],
     }
     warnings = []
-    if point.is_infinity:
+    if value == 0:
         result["local_log_distances"] = None
         result["local_sum"] = None
         warnings.append("local distances to the starting point are undefined at 0")
     else:
-        inf_pt = ProjPoint.infinity()
-        result["local_log_distances"] = {
-            str(v): _real(local_log_distance(point, inf_pt, v)) for v in places
-        }
-        result["local_sum"] = _real(sum_local_at_infinity(point, places))
+        distances = [local_log_distance(a, b, v) for v in places]
+        result["local_log_distances"] = {str(v): _real(x) for v, x in zip(places, distances)}
+        result["local_sum"] = _real(sum(distances))
     return result, None, warnings
 
 
@@ -910,6 +910,22 @@ def run_subcommand(name: str, args: dict, config: RunConfig):
             sys.set_int_max_str_digits(saved)
 
 
+def _add_partial(result: dict, partial, config: RunConfig) -> Optional[list[tuple]]:
+    """Puts the report of a stopped orbit in result["partial"] and returns its
+    CSV rows.  A json or text partial is left out when its starting point or
+    centered map has a number of more digits than the budget: no report
+    prints a number past it, and the centered map of a huge alpha can pass
+    even the run's int<->str limit."""
+    if not isinstance(partial, OrbitSequence):
+        return None
+    if config.fmt != "csv":
+        numbers = [x for c in (partial.alpha, *partial.centered.coeffs) for x in (c.numerator, c.denominator)]
+        if max(map(decimal_digits, numbers)) > config.digit_budget:
+            return None
+    result["partial"], rows = _orbit_output(partial, config.fmt)
+    return rows
+
+
 def _run(name: str, args: dict, config: RunConfig):
     handler, _, required = _COMMANDS[name]
     code = EXIT_OK
@@ -930,14 +946,12 @@ def _run(name: str, args: dict, config: RunConfig):
             diagnostics = f"hypothesis violated: {exc.reason}"
         except PreperiodicPoint as exc:
             result = {"error": str(exc), "reason": "preperiodic point"}
-            if isinstance(exc.partial, OrbitSequence):
-                result["partial"], rows = _orbit_output(exc.partial, config.fmt)
+            rows = _add_partial(result, exc.partial, config)
             code = EXIT_HYPOTHESIS
             diagnostics = f"hypothesis violated: {exc}"
         except DigitBudgetExceeded as exc:
             result = {"error": str(exc), "reason": "digit budget exceeded"}
-            if isinstance(exc.partial, OrbitSequence):
-                result["partial"], rows = _orbit_output(exc.partial, config.fmt)
+            rows = _add_partial(result, exc.partial, config)
             code = EXIT_BUDGET
             diagnostics = f"budget exhausted: {exc}"
     except Exception as exc:  # a defect, also in a partial result, reported as any failure

@@ -11,6 +11,10 @@ one orbit engine, ratfield.IntegerModel, on coprime pairs (a, b): since
 F(a, b) = f_d a^d (mod b) for phi = F(X, Y) / (L Y^d), gcds with the small
 k = L |f_d| alone reduce each step, and h(a/b) = log max(|a|, b).
 
+Every point is such a pair, a signed and b > 0 in lowest terms.  Once an
+orbit is centered its starting point is 0, so local log-distances run from
+a/b to 0.
+
 The same model gives the map's height: the coprime integer vector
 (f_0, ..., f_d, L) is phi's coefficient vector, so h(phi) = log max of its
 entries.  Conjugating by z -> 1/z reverses the coefficients and only permutes
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .divisibility import is_probable_prime, valuation
-from .ratfield import Coefficient, Polynomial, ProjPoint, as_rational
+from .ratfield import Coefficient, Polynomial, as_rational
 from .ratfield import DigitBudgetExceeded, IntegerModel
 
 _LN2 = math.log(2)
@@ -61,10 +65,6 @@ class Place:
     def is_archimedean(self) -> bool:
         return self.prime is None
 
-    @property
-    def kind(self) -> str:
-        return "archimedean" if self.prime is None else "finite"
-
     def __str__(self) -> str:
         return "inf" if self.prime is None else str(self.prime)
 
@@ -98,9 +98,6 @@ class PlaceSet:
     def __len__(self) -> int:
         return len(self.places)
 
-    def __contains__(self, place: Place) -> bool:
-        return place in self.places
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PlaceSet):
             return NotImplemented
@@ -131,9 +128,9 @@ class HeightEstimate:
             raise ValueError("need finite value and error_bound >= 0")
 
 
-def weil_height(P: ProjPoint) -> float:
-    """log max(|x|, |y|) over the coprime coordinates; always >= 0."""
-    return log_int(max(abs(P.x), abs(P.y)))
+def weil_height(a: int, b: int) -> float:
+    """h(a/b) = log max(|a|, b) for a coprime pair with b > 0; always >= 0."""
+    return log_int(max(abs(a), b))
 
 
 def map_height(phi: Polynomial) -> float:
@@ -149,31 +146,21 @@ def map_height(phi: Polynomial) -> float:
     return log_int(max([scale, *map(abs, coeffs)]))
 
 
-def _cross(P: ProjPoint, Q: ProjPoint) -> int:
-    return P.x * Q.y - Q.x * P.y
-
-
-def local_log_distance(P: ProjPoint, Q: ProjPoint, v: Place) -> float:
-    """-log of the chordal metric, computed directly from logs so huge
-    coordinates neither overflow nor underflow; +inf iff P = Q."""
-    cross = _cross(P, Q)
-    if cross == 0:
+def local_log_distance(a: int, b: int, v: Place) -> float:
+    """-log of the v-adic chordal distance from a/b to 0, for a coprime pair
+    with b > 0: 0.5 log(a^2 + b^2) - log|a| at infinity, v_p(a) log p at p.
+    Taken from logs, so huge pairs neither overflow nor underflow; +inf at
+    a = 0."""
+    if a == 0:
         return math.inf
     if v.is_archimedean:
-        return (
-            0.5 * log_int(P.x * P.x + P.y * P.y)
-            + 0.5 * log_int(Q.x * Q.x + Q.y * Q.y)
-            - log_int(abs(cross))
-        )
-    return valuation(abs(cross), v.prime) * math.log(v.prime)
+        return 0.5 * log_int(a * a + b * b) - log_int(abs(a))
+    return valuation(abs(a), v.prime) * math.log(v.prime)
 
 
-def sum_local_at_infinity(P: ProjPoint, places: PlaceSet) -> float:
-    """Sum of local log-distances from P to the point (1, 0) over the places."""
-    if P.is_infinity:
-        raise ValueError("distance from infinity to itself is undefined")
-    inf_pt = ProjPoint.infinity()
-    return sum(local_log_distance(P, inf_pt, v) for v in places)
+def sum_local_at_zero(a: int, b: int, places: PlaceSet) -> float:
+    """Sum of local log-distances from a/b to 0 over the places."""
+    return sum(local_log_distance(a, b, v) for v in places)
 
 
 def height_comparison_bound(phi: Polynomial) -> float:
@@ -244,6 +231,6 @@ def canonical_height(
     except DigitBudgetExceeded:
         truncated = True
 
-    value = log_int(max(abs(a), b)) / d**steps
+    value = weil_height(a, b) / d**steps
     error = B / d**steps + _FLOAT_SLACK * (1.0 + abs(value))
     return HeightEstimate(value=value, error_bound=error, truncated=truncated, iterations=steps)

@@ -364,59 +364,6 @@ def is_powerful(decomposition: list[tuple[Polynomial, int]]) -> bool:
     return bool(decomposition) and all(mult >= 2 for _, mult in decomposition)
 
 
-class ProjPoint:
-    """Point of P^1(Q) as a coprime integer pair with a fixed sign convention.
-
-    Normalization: gcd(|x|, |y|) = 1, y >= 0, and x > 0 when y = 0; equality
-    is therefore structural.  The pair (1, 0) is the point at infinity and
-    a rational value t = a/b enters as the pair (b, a).
-    """
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x: int, y: int):
-        if x == 0 and y == 0:
-            raise ValueError("(0, 0) is not a projective point")
-        g = gcd(abs(x), abs(y))
-        x //= g
-        y //= g
-        if y < 0 or (y == 0 and x < 0):
-            x, y = -x, -y
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjPoint is immutable")
-
-    @classmethod
-    def from_value(cls, t: Coefficient) -> "ProjPoint":
-        """The point [1 : t], i.e. the integer pair (denominator, numerator)."""
-        t = as_rational(t)
-        return cls(t.denominator, t.numerator)
-
-    @classmethod
-    def infinity(cls) -> "ProjPoint":
-        return cls(1, 0)
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.y == 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProjPoint):
-            return NotImplemented
-        return self.x == other.x and self.y == other.y
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y))
-
-    def __repr__(self) -> str:
-        return f"ProjPoint({self.x}, {self.y})"
-
-    def __str__(self) -> str:
-        return f"[{self.x} : {self.y}]"
-
-
 class PreperiodicPoint(Exception):
     """Raised when an orbit construction finds a finite forward orbit."""
 

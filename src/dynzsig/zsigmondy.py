@@ -42,7 +42,8 @@ from .heights import (
     canonical_height,
     height_comparison_bound,
     log_int,
-    sum_local_at_infinity,
+    sum_local_at_zero,
+    weil_height,
 )
 from .ratfield import (
     _EXACT,
@@ -51,7 +52,6 @@ from .ratfield import (
     IntegerModel,
     Polynomial,
     PreperiodicPoint,
-    ProjPoint,
     as_rational,
     conjugate,
     is_powerful,
@@ -226,7 +226,7 @@ def wandering_verdict(
 
     try:
         for a, b in model.orbit(alpha, max(1, probe), track=True):
-            if model.escapes(a, b) or log_int(max(abs(a), b)) > height_ceiling:
+            if model.escapes(a, b) or weil_height(a, b) > height_ceiling:
                 return "wandering"
     except PreperiodicPoint:
         return "preperiodic"
@@ -408,7 +408,7 @@ def zsigmondy_bound(inputs: BoundInputs) -> BoundBreakdown:
 def _close_approach_band(seq: OrbitSequence, n: int, places: PlaceSet, hhat0: HeightEstimate):
     """The local log-distance sum at index n, and d^n * hhat0 / 8 at both ends of its error band."""
     rec = seq.record(n)
-    lam = sum_local_at_infinity(ProjPoint(rec.ideal.B, rec.sign * rec.ideal.A), places)
+    lam = sum_local_at_zero(rec.sign * rec.ideal.A, rec.ideal.B, places)
     low = (hhat0.value - hhat0.error_bound) * seq.degree**n / 8.0
     return lam, low, (hhat0.value + hhat0.error_bound) * seq.degree**n / 8.0
 

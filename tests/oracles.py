@@ -11,7 +11,7 @@ from typing import Union
 
 from dynzsig.divisibility import _CHUNK, IdealPair, PrimitiveSplit, prime_to_s_norm, primitive_split, valuation
 from dynzsig.heights import Place, PlaceSet, log_int
-from dynzsig.ratfield import Coefficient, Polynomial, ProjPoint, as_rational, poly_gcd
+from dynzsig.ratfield import Coefficient, Polynomial, as_rational, poly_gcd
 
 
 def ideal_pair(x: Fraction | int | str) -> "IdealPair":
@@ -190,22 +190,41 @@ def has_primitive_divisor(A_n: int, history) -> bool:
     return primitive_split(A_n, history).primitive_part > 1
 
 
-def chordal_metric(P: ProjPoint, Q: ProjPoint, v: Place) -> float:
-    """The v-adic projective distance; symmetric, in [0, 1], zero iff P = Q.
+def _vp(n: int, p: int) -> Union[int, float]:
+    """v_p(n) by repeated division; +inf at n = 0."""
+    if n == 0:
+        return math.inf
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
 
-    Coprime integer coordinates have unit p-adic max-norm, so at a finite
-    place this is just |x1 y2 - x2 y1|_p.
+
+def chordal_log_distance(P: tuple[int, int], Q: tuple[int, int], v: Place) -> float:
+    """-log of the v-adic chordal distance between the points a1/b1 and a2/b2
+    of P = (a1, b1) and Q = (a2, b2), pairs that need be neither coprime nor
+    signed, with (a, 0) the point at infinity:
+
+        |a1 b2 - a2 b1|_v / (||(a1, b1)||_v ||(a2, b2)||_v),
+
+    the Euclidean norm at infinity and the max norm at p.  +inf iff P = Q.
+    Logs of the integers themselves, so huge pairs do not underflow.
     """
-    cross = P.x * Q.y - Q.x * P.y
+    (a1, b1), (a2, b2) = P, Q
+    cross = a1 * b2 - a2 * b1
     if cross == 0:
-        return 0.0
+        return math.inf
     if v.is_archimedean:
-        return math.exp(
-            log_int(abs(cross))
-            - 0.5 * log_int(P.x * P.x + P.y * P.y)
-            - 0.5 * log_int(Q.x * Q.x + Q.y * Q.y)
-        )
-    return math.exp(-valuation(abs(cross), v.prime) * math.log(v.prime))
+        return 0.5 * math.log(a1 * a1 + b1 * b1) + 0.5 * math.log(a2 * a2 + b2 * b2) - math.log(abs(cross))
+    p = v.prime
+    return (_vp(cross, p) - min(_vp(a1, p), _vp(b1, p)) - min(_vp(a2, p), _vp(b2, p))) * math.log(p)
+
+
+def chordal_metric(P: tuple[int, int], Q: tuple[int, int], v: Place) -> float:
+    """The v-adic chordal distance itself; symmetric, in [0, 1], zero iff
+    P = Q.  It underflows to 0 below about 1e-308."""
+    return math.exp(-chordal_log_distance(P, Q, v))
 
 
 def brent_rho(n: int, rounds: int, seed: int) -> int:

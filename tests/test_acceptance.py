@@ -24,11 +24,11 @@ from dynzsig.heights import (
     canonical_height,
     height_comparison_bound,
     log_int,
-    sum_local_at_infinity,
+    sum_local_at_zero,
     valuation,
     weil_height,
 )
-from dynzsig.ratfield import Polynomial, ProjPoint, conjugate
+from dynzsig.ratfield import Polynomial, conjugate
 from dynzsig.zsigmondy import (
     DigitBudgetExceeded,
     FamilyFactor,
@@ -207,10 +207,10 @@ def test_criterion_6_height_split_and_local_inequality():
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
         # local-distance sum over all relevant places dominates the height
-        P = ProjPoint.from_value(beta)
-        relevant = set(naive_factor(abs(beta.numerator))) | set(naive_factor(beta.denominator))
-        total = sum_local_at_infinity(P, PlaceSet.from_primes(relevant))
-        assert weil_height(P) <= total + 1e-9
+        a, b = beta.numerator, beta.denominator
+        relevant = set(naive_factor(abs(a))) | set(naive_factor(b))
+        total = sum_local_at_zero(a, b, PlaceSet.from_primes(relevant))
+        assert weil_height(a, b) <= total + 1e-9
     print("\nACCEPTANCE 6 (height split identity and local-sum inequality, 200 samples): PASS")
 
 

@@ -1,6 +1,8 @@
 import fcntl
+import gc
 import json
 import random
+import re
 import sys
 import threading
 import time
@@ -140,6 +142,24 @@ def test_alpha_exponent_past_the_int_str_limit_exits_usage(command, args, alpha)
 def test_alpha_exponent_within_the_limit_meets_the_digit_budget():
     code, _, diag = run("orbit", RunConfig(fmt="csv"), poly="z^2+1", alpha="1e300000", n=3)
     assert code == 3 and "exceeds 100000 digits" in diag
+
+
+# alpha has 300,001 digits and the centered map's constant term 600,001, past
+# both the digit budget and the run's int<->str limit of 400,000
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("orbit", dict(poly="z^2+1", n=3)),
+        ("bound", dict(poly="z^3+1", n=3, d="3", B="1", hhat="1", htilde="1", gamma="1", s_size="1")),
+    ],
+)
+def test_huge_alpha_meets_the_digit_budget_in_every_format(command, args, fmt):
+    start = time.perf_counter()
+    code, report, diag = run(command, RunConfig(fmt=fmt), alpha="1e300000", **args)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and diag == "budget exhausted: orbit value at step 1 exceeds 100000 digits"
+    assert "partial" not in report and not re.search(r"\d{100001}", report)
 
 
 def test_print_parse_round_trip():
@@ -466,6 +486,19 @@ def test_text_format_renders():
     code, report, _ = run("zsigmondy", config, poly="z^2+1", alpha="0", n=4)
     assert code == 0
     assert "result.zsigmondy_set: 1" in report
+
+
+def test_text_report_leaves_no_reference_cycle():
+    # garbage only a collection frees would pile up between full collections
+    config = RunConfig(fmt="text")
+    run("orbit", config, poly="z^2+1", n=8)  # warm
+    gc.collect()
+    gc.disable()
+    try:
+        code, _, _ = run("orbit", config, poly="z^2+1", n=8)
+        assert code == 0 and gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_exponent_cap():

@@ -22,14 +22,22 @@ from dynzsig.heights import (
     local_log_distance,
     log_int,
     map_height,
-    sum_local_at_infinity,
+    sum_local_at_zero,
     weil_height,
 )
-from dynzsig.ratfield import Polynomial, ProjPoint, conjugate
-from oracles import RationalMap, chordal_metric, monomial, rational_height, rational_map_height, reverse_map
+from dynzsig.ratfield import Polynomial, conjugate
+from oracles import (
+    RationalMap,
+    chordal_log_distance,
+    chordal_metric,
+    monomial,
+    rational_height,
+    rational_map_height,
+    reverse_map,
+)
 
 Z = Polynomial.identity()
-INF = ProjPoint.infinity()
+ZERO, INF = (0, 1), (1, 0)
 
 
 # --- log primitive -----------------------------------------------------------
@@ -55,9 +63,9 @@ def test_log_int_rejects_nonpositive():
 
 
 def test_place_kinds():
-    assert ARCHIMEDEAN.is_archimedean and ARCHIMEDEAN.kind == "archimedean"
+    assert ARCHIMEDEAN.is_archimedean and str(ARCHIMEDEAN) == "inf"
     p = Place(13)
-    assert p.kind == "finite" and str(p) == "13"
+    assert not p.is_archimedean and str(p) == "13"
 
 
 def test_place_rejects_composite():
@@ -85,9 +93,10 @@ def test_place_set_tests_each_prime_once(monkeypatch):
 
 
 def test_weil_height_examples():
-    assert weil_height(ProjPoint(2, 3)) == pytest.approx(math.log(3))
-    assert weil_height(INF) == 0.0
-    assert weil_height(ProjPoint(26, 1)) == pytest.approx(math.log(26))
+    assert weil_height(3, 2) == pytest.approx(math.log(3))
+    assert weil_height(-3, 2) == weil_height(3, 2)
+    assert weil_height(0, 1) == 0.0
+    assert weil_height(1, 26) == pytest.approx(math.log(26))
 
 
 def test_map_height_examples():
@@ -144,67 +153,117 @@ if st is not None:
 
 
 def test_chordal_archimedean_example():
-    assert chordal_metric(ProjPoint(1, 1), INF, ARCHIMEDEAN) == pytest.approx(1 / math.sqrt(2))
+    assert chordal_metric((1, 1), ZERO, ARCHIMEDEAN) == pytest.approx(1 / math.sqrt(2))
+    assert chordal_metric((1, 1), INF, ARCHIMEDEAN) == pytest.approx(1 / math.sqrt(2))
 
 
 def test_chordal_coincident_points():
-    p = ProjPoint(3, 7)
+    p = (7, 3)
     assert chordal_metric(p, p, ARCHIMEDEAN) == 0.0
     assert chordal_metric(p, p, Place(5)) == 0.0
+    assert chordal_metric(p, (-14, -6), Place(7)) == 0.0  # one point, another pair
 
 
 def test_chordal_finite_example():
     for p in (2, 3, 7):
-        assert chordal_metric(ProjPoint(1, p), INF, Place(p)) == pytest.approx(1 / p)
+        assert chordal_metric((p, 1), ZERO, Place(p)) == pytest.approx(1 / p)
+        assert chordal_metric((1, p), INF, Place(p)) == pytest.approx(1 / p)
 
 
 def test_chordal_symmetry_and_range():
     rng = random.Random(21)
     places = [ARCHIMEDEAN, Place(2), Place(5), Place(13)]
     for _ in range(60):
-        P = ProjPoint(rng.randint(-30, 30), rng.randint(-30, 30) or 1)
-        Q = ProjPoint(rng.randint(-30, 30), rng.randint(-30, 30) or 1)
+        P = (rng.randint(-30, 30), rng.randint(-30, 30) or 1)
+        Q = (rng.randint(-30, 30), rng.randint(-30, 30) or 1)
         for v in places:
             a, b = chordal_metric(P, Q, v), chordal_metric(Q, P, v)
             assert a == pytest.approx(b, abs=1e-15)
             assert 0.0 <= a <= 1.0 + 1e-12
 
 
+def test_chordal_metric_is_invariant_under_inversion():
+    # z -> 1/z swaps the entries of each pair and fixes every chordal distance,
+    # so the distance to 0 is the distance of the reciprocals to infinity
+    rng = random.Random(24)
+    for _ in range(60):
+        P = (rng.randint(-30, 30) or 1, rng.randint(-30, 30) or 1)
+        for v in (ARCHIMEDEAN, Place(2), Place(3)):
+            assert chordal_metric(P, ZERO, v) == pytest.approx(chordal_metric(P[::-1], INF, v), abs=1e-15)
+
+
 # --- local log-distance ----------------------------------------------------------
 
 
 def test_local_log_distance_archimedean():
-    assert local_log_distance(ProjPoint(1, 1), INF, ARCHIMEDEAN) == pytest.approx(0.5 * math.log(2))
+    assert local_log_distance(1, 1, ARCHIMEDEAN) == pytest.approx(0.5 * math.log(2))
+    assert local_log_distance(-1, 1, ARCHIMEDEAN) == pytest.approx(0.5 * math.log(2))
 
 
 def test_local_log_distance_finite_counts_numerator_valuation():
-    # [1 : y] against [1 : 0] sees exactly the p-part of y
+    # y/1 against 0 sees exactly the p-part of y, and so does y/b for b prime to y
     for y, p in ((8, 2), (9, 3), (10, 5), (7, 2)):
         expected = valuation(y, p) * math.log(p)
-        assert local_log_distance(ProjPoint(1, y), INF, Place(p)) == pytest.approx(expected)
+        assert local_log_distance(y, 1, Place(p)) == pytest.approx(expected)
+        assert local_log_distance(-y, 11, Place(p)) == pytest.approx(expected)
 
 
 def test_local_log_distance_coincident_is_infinite():
-    p = ProjPoint(2, 3)
-    assert math.isinf(local_log_distance(p, p, ARCHIMEDEAN))
+    for v in (ARCHIMEDEAN, Place(3)):
+        assert math.isinf(local_log_distance(0, 1, v))
+
+
+if st is not None:
+    _PLACES = st.sampled_from([ARCHIMEDEAN] + [Place(p) for p in range(2, 98) if all(p % q for q in range(2, p))])
+
+    @st.composite
+    def _coprime_pairs(draw):
+        """A signed a and b > 0 in lowest terms, of up to 10^4 digits each,
+        a carrying a drawn power of a small prime."""
+        rng = draw(st.randoms(use_true_random=False))
+
+        def entry(low):
+            if draw(st.booleans()):
+                return draw(st.integers(low, 99))
+            digits = draw(st.integers(1, 10_000))
+            return rng.randrange(10 ** (digits - 1), 10**digits)
+
+        a = entry(0) * draw(st.sampled_from([2, 3, 97])) ** draw(st.integers(0, 300))
+        b = entry(1)
+        g = math.gcd(a, b)
+        return draw(st.sampled_from([1, -1])) * (a // g), b // g
+
+    @given(_coprime_pairs(), _PLACES)
+    @example((0, 1), ARCHIMEDEAN)
+    @example((0, 1), Place(2))
+    @example((-(2**40), 3**30), Place(2))
+    @example((10**9999 + 1, 1), ARCHIMEDEAN)
+    @example((1, 10**9999), ARCHIMEDEAN)  # the distance itself underflows
+    @settings(max_examples=200, deadline=None)
+    def test_local_log_distance_equals_the_chordal_oracle(pair, v):
+        a, b = pair
+        expected = chordal_log_distance(pair, ZERO, v)
+        got = local_log_distance(a, b, v)
+        if v.is_archimedean and a:
+            # each side rounds logs of up to 2.3e4 once or twice: a few ulps of that
+            assert got == pytest.approx(expected, rel=0, abs=4e-15 * (1 + math.log(max(abs(a), b))))
+        else:
+            assert got == expected
 
 
 # --- sum over places --------------------------------------------------------------
 
 
 def test_sum_local_examples():
-    p = ProjPoint(1, 2)
-    assert sum_local_at_infinity(p, PlaceSet()) == pytest.approx(math.log(math.sqrt(5) / 2))
-    assert sum_local_at_infinity(p, PlaceSet.from_primes([2])) == pytest.approx(
+    assert sum_local_at_zero(2, 1, PlaceSet()) == pytest.approx(math.log(math.sqrt(5) / 2))
+    assert sum_local_at_zero(2, 1, PlaceSet.from_primes([2])) == pytest.approx(
         math.log(math.sqrt(5) / 2) + math.log(2)
     )
-    q = ProjPoint(1, 1)
-    assert sum_local_at_infinity(q, PlaceSet.from_primes([3])) == pytest.approx(0.5 * math.log(2))
+    assert sum_local_at_zero(1, 1, PlaceSet.from_primes([3])) == pytest.approx(0.5 * math.log(2))
 
 
-def test_sum_local_rejects_infinity():
-    with pytest.raises(ValueError):
-        sum_local_at_infinity(INF, PlaceSet())
+def test_sum_local_at_zero_is_infinite_at_zero():
+    assert math.isinf(sum_local_at_zero(0, 1, PlaceSet()))
 
 
 def test_height_bounded_by_all_local_distances():
@@ -215,10 +274,11 @@ def test_height_bounded_by_all_local_distances():
         b = rng.randint(1, 10**6)
         if a == 0:
             continue
-        P = ProjPoint.from_value(Fraction(a, b))
+        x = Fraction(a, b)
+        a, b = x.numerator, x.denominator
         primes = set(factor(abs(a)).factors) | set(factor(b).factors)
-        total = sum_local_at_infinity(P, PlaceSet.from_primes(primes))
-        assert weil_height(P) <= total + 1e-9
+        total = sum_local_at_zero(a, b, PlaceSet.from_primes(primes))
+        assert weil_height(a, b) <= total + 1e-9
 
 
 # --- height split identity ----------------------------------------------------------

@@ -15,7 +15,6 @@ from dynzsig.ratfield import (
     IntegerModel,
     Polynomial,
     PreperiodicPoint,
-    ProjPoint,
     conjugate,
     is_powerful,
     poly_gcd,
@@ -384,30 +383,6 @@ def test_rational_map_cancels_common_factor():
 def test_rational_map_rejects_zero_denominator():
     with pytest.raises(ValueError):
         RationalMap(Z, Polynomial.zero())
-
-
-# --- ProjPoint -------------------------------------------------------------
-
-
-def test_projpoint_normalization():
-    assert ProjPoint(4, 6) == ProjPoint(2, 3)
-    assert ProjPoint(-2, -3) == ProjPoint(2, 3)
-    p = ProjPoint(3, -5)
-    assert (p.x, p.y) == (-3, 5)
-    inf = ProjPoint(-7, 0)
-    assert (inf.x, inf.y) == (1, 0)
-    assert inf.is_infinity
-
-
-def test_projpoint_from_value():
-    assert ProjPoint.from_value(Fraction(3, 2)) == ProjPoint(2, 3)
-    assert ProjPoint.from_value(-7) == ProjPoint(-1, 7)
-    assert ProjPoint.from_value(0) == ProjPoint.infinity()
-
-
-def test_projpoint_rejects_origin():
-    with pytest.raises(ValueError):
-        ProjPoint(0, 0)
 
 
 # --- integer orbit engine --------------------------------------------------
