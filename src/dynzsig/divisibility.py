@@ -297,15 +297,29 @@ class IdealPair:
 
 
 def valuation(n: int, p: int) -> int:
-    """Largest e with p^e | n (n >= 1, p >= 2)."""
+    """Largest e with p^e | n (n >= 1, p >= 2), in O(log e) big divisions.
+    n is divided by p^(2^k) for k = 0, 1, ... up to the first K where that
+    fails, which takes 2^K - 1 and leaves less than 2^K; the same powers in
+    reverse then take what is left, one binary digit each.  One division by
+    p per unit of e takes time quadratic in the size of a large prime power."""
     if n < 1:
         raise ValueError("valuation requires n >= 1")
     if p < 2:
         raise ValueError("valuation requires p >= 2")
-    e = 0
-    while n % p == 0:
-        e += 1
-        n //= p
+    powers = []  # p^(2^k) for k = 0, 1, ...
+    while True:
+        q, r = divmod(n, p)
+        if r:
+            break
+        n = q
+        powers.append(p)
+        p *= p
+    e = (1 << len(powers)) - 1
+    for k in reversed(range(len(powers))):
+        q, r = divmod(n, powers[k])
+        if not r:
+            n = q
+            e += 1 << k
     return e
 
 

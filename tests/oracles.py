@@ -1,15 +1,29 @@
 """Test-only oracles: direct definitions that the package no longer needs,
 kept as references for the tests that compare against them."""
 
+import fcntl
+import json
 import math
+import os
 import random
+import sys
 from array import array
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import compress
 from math import gcd, isqrt, lcm, prod
-from typing import Union
+from typing import Optional, Union
 
-from dynzsig.divisibility import _CHUNK, IdealPair, PrimitiveSplit, prime_to_s_norm, primitive_split, valuation
+from dynzsig.divisibility import (
+    _CHUNK,
+    FactorBudget,
+    Factorization,
+    IdealPair,
+    PrimitiveSplit,
+    prime_to_s_norm,
+    primitive_split,
+    valuation,
+)
 from dynzsig.heights import Place, PlaceSet, log_int
 from dynzsig.ratfield import Coefficient, Polynomial, as_rational, poly_gcd
 
@@ -190,8 +204,9 @@ def has_primitive_divisor(A_n: int, history) -> bool:
     return primitive_split(A_n, history).primitive_part > 1
 
 
-def _vp(n: int, p: int) -> Union[int, float]:
-    """v_p(n) by repeated division; +inf at n = 0."""
+def valuation_by_division(n: int, p: int) -> Union[int, float]:
+    """v_p(n) by dividing by p one step at a time, as the package's
+    valuation did; +inf at n = 0."""
     if n == 0:
         return math.inf
     k = 0
@@ -217,8 +232,8 @@ def chordal_log_distance(P: tuple[int, int], Q: tuple[int, int], v: Place) -> fl
         return math.inf
     if v.is_archimedean:
         return 0.5 * math.log(a1 * a1 + b1 * b1) + 0.5 * math.log(a2 * a2 + b2 * b2) - math.log(abs(cross))
-    p = v.prime
-    return (_vp(cross, p) - min(_vp(a1, p), _vp(b1, p)) - min(_vp(a2, p), _vp(b2, p))) * math.log(p)
+    p, vp = v.prime, valuation_by_division
+    return (vp(cross, p) - min(vp(a1, p), vp(b1, p)) - min(vp(a2, p), vp(b2, p))) * math.log(p)
 
 
 def chordal_metric(P: tuple[int, int], Q: tuple[int, int], v: Place) -> float:
@@ -262,3 +277,69 @@ def brent_rho(n: int, rounds: int, seed: int) -> int:
         if 1 < g < n:
             return g
     return 1
+
+
+class EagerFactorCache:
+    """dynzsig.cli.FactorCache as it loaded before lookups converted lines:
+    every composite is converted with int() when the cache opens, and a
+    lookup's budget tag is built on every call.  The file format, the
+    warnings and the answers are the package's."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.entries: dict[tuple[int, Optional[str]], Factorization] = {}
+        self.warnings: list[str] = []
+        self._load()
+
+    def _load(self):
+        if not os.path.exists(self.path):
+            return
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        with open(self.path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    raw = json.loads(line)
+                    text, pairs, complete = raw["composite"], raw["factors"], raw["complete"]
+                    if (not complete and "budget" not in raw) or 0 < limit < len(text):
+                        continue
+                    composite = int(text)
+                    fact = Factorization({int(p): int(e) for p, e in pairs})
+                    if any(p < 2 or e < 1 for p, e in fact.factors.items()):
+                        raise ValueError("a factor below 2 or an exponent below 1")
+                    if complete:
+                        if fact.reconstruct() != composite:
+                            raise ValueError("reconstruction mismatch")
+                        tag = None
+                    else:
+                        fact.cofactor, rest = divmod(composite, fact.reconstruct())
+                        if rest or fact.cofactor < 2:
+                            raise ValueError("the factors leave no cofactor above 1")
+                        tag = json.dumps(raw["budget"], sort_keys=True)
+                except (KeyError, ValueError, TypeError) as exc:
+                    self.warnings.append(f"cache line {lineno} skipped: {exc}")
+                    continue
+                self.entries.setdefault((composite, tag), fact)
+
+    def get(self, n: int, budget: FactorBudget) -> Optional[Factorization]:
+        hit = self.entries.get((n, None)) or self.entries.get((n, json.dumps(asdict(budget), sort_keys=True)))
+        return None if hit is None else Factorization(dict(hit.factors), hit.cofactor)
+
+    def store(self, n: int, fact: Factorization, budget: FactorBudget) -> None:
+        budget_fields = None if fact.complete else asdict(budget)
+        key = (n, None if budget_fields is None else json.dumps(budget_fields, sort_keys=True))
+        if (n, None) in self.entries or key in self.entries:
+            return
+        self.entries[key] = Factorization(dict(fact.factors), fact.cofactor)
+        record = {
+            "composite": str(n),
+            "factors": [[str(p), e] for p, e in sorted(fact.factors.items())],
+            "complete": fact.complete,
+        }
+        if budget_fields is not None:
+            record["budget"] = budget_fields
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            fh.write(json.dumps(record, sort_keys=True) + "\n")

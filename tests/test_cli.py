@@ -162,6 +162,21 @@ def test_huge_alpha_meets_the_digit_budget_in_every_format(command, args, fmt):
     assert "partial" not in report and not re.search(r"\d{100001}", report)
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_heights_point_past_the_digit_budget_exits_budget(fmt):
+    # the point used to print all its 300,001 digits with the quadratic str
+    start = time.perf_counter()
+    code, report, diag = run("heights", RunConfig(fmt=fmt), poly="z^2+1", alpha="1e300000")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and diag == "budget exhausted: point exceeds 100000 digits"
+    assert not re.search(r"\d{100001}", report)
+
+
+def test_heights_point_within_the_digit_budget_prints_exactly():
+    code, report, _ = run("heights", poly="z^2+1", alpha="1e60000")
+    assert code == 0 and json.loads(report)["result"]["point"] == "1" + "0" * 60000
+
+
 def test_print_parse_round_trip():
     rng = random.Random(51)
     for _ in range(40):
@@ -501,6 +516,18 @@ def test_text_report_leaves_no_reference_cycle():
         gc.enable()
 
 
+def test_json_report_leaves_no_reference_cycle():
+    # json's pure-Python encoder, which indent selects, left 33 objects per report
+    run("orbit", poly="z^2+1", n=8)  # warm
+    gc.collect()
+    gc.disable()
+    try:
+        code, _, _ = run("orbit", poly="z^2+1", n=8)
+        assert code == 0 and gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_exponent_cap():
     with pytest.raises(ParseError):
         parse_poly("(z+1)^100000")
@@ -797,6 +824,25 @@ def test_cache_line_over_the_int_str_limit_is_skipped_silently(tmp_path, digit_b
     assert cache.warnings == []
     assert (cache.get(big, DEFAULT_BUDGET) is not None) is loaded
     assert (cache.get(big * 3, DEFAULT_BUDGET) is not None) is loaded
+
+
+def test_cache_line_stays_text_until_a_lookup_of_its_digit_count(tmp_path):
+    path = tmp_path / "factors.jsonl"
+    big = 6 * (10**19999 + 1)  # 20,000 digits
+    big_text = "6" + "0" * 19998 + "6"
+    lines = [
+        {"budget": asdict(DEFAULT_BUDGET), "complete": False, "composite": big_text, "factors": [["2", 1], ["3", 1]]},
+        {"complete": True, "composite": "458330", "factors": [["2", 1], ["5", 1], ["45833", 1]]},
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    cache = FactorCache(str(path))
+    assert cache.warnings == [] and cache.entries == {}
+    assert [text for text, _, _ in cache._pending[20000]] == [big_text]
+    assert cache.get(458330, DEFAULT_BUDGET).complete
+    assert [text for text, _, _ in cache._pending[20000]] == [big_text]  # another digit count
+    assert cache.get(big, SMALL) is None  # the lookup converts the line, whose budget differs
+    assert 20000 not in cache._pending
+    assert cache.get(big, DEFAULT_BUDGET) == Factorization({2: 1, 3: 1}, 10**19999 + 1)
 
 
 def test_cache_skips_corrupt_lines(tmp_path):

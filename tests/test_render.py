@@ -602,3 +602,23 @@ def test_budget_stop_reports_match_pinned_digests(command, args, config, code, f
     got, report, _ = run_subcommand(command, dict(args), RunConfig(fmt=fmt, **config))
     assert got == code
     assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+# report-shaped values: string keys and leaves, ints of any size, bools and
+# None, nested dicts and lists, empty ones among them, and floats, which no
+# report holds but the writer hands to json.dumps; strings reach past
+# ASCII, into the control characters json escapes, and into surrogate pairs
+_JSON_TEXT = st.text(st.characters(min_codepoint=0, max_codepoint=0x1F600, blacklist_categories=("Cs",)), max_size=12)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**30), 10**30) | st.floats() | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(report=st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=5))
+@example(report={})
+@example(report={"a": [], "b": {}, "c": [[], {}], "é\x00\n\"\\": "\U0001f600\x1f "})
+@settings(max_examples=300, deadline=None)
+def test_json_reports_equal_json_dumps(report):
+    assert cli._render_json(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
