@@ -922,7 +922,11 @@ def _cmd_family_check(args: dict, config: RunConfig):
     }
     warnings: list[str] = []
     if classification == "wandering":
-        growth = growth_check(spec, N, digit_budget=config.digit_budget)
+        try:  # the one orbit of 0 that both checks read
+            values = list(IntegerModel(phi).orbit(0, N, config.digit_budget, track=True))
+        except PreperiodicPoint:
+            raise HypothesisViolated("0 is preperiodic") from None
+        growth = growth_check(spec, [a for a, _ in values])
         result["growth"] = {
             "passed": growth.passed,
             "square_growth_ok": growth.square_growth_ok,
@@ -934,14 +938,7 @@ def _cmd_family_check(args: dict, config: RunConfig):
         places = PlaceSet()  # family_build has proved every base integral: no denominator primes
         cache = _open_cache(config)
         warnings.extend(cache.warnings if cache else [])
-        stability = valuation_stability_check(
-            phi,
-            places,
-            N,
-            budget=config.factor_budget(),
-            digit_budget=config.digit_budget,
-            cache=cache,
-        )
+        stability = valuation_stability_check(phi, places, values, config.factor_budget(), cache)
         result["valuation_stability"] = {
             "ok": stability.ok,
             "terms_checked": stability.terms_checked,

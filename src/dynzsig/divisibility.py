@@ -239,11 +239,7 @@ def _trial_by_chunks(m: int, bound: int) -> tuple[dict[int, int], int]:
         if g > 1:
             for p in group:
                 if g % p == 0:
-                    e = 0
-                    while m % p == 0:
-                        e += 1
-                        m //= p
-                    found[p] = e
+                    found[p], m = _strip(m, p)
         if group[-1] * group[-1] > m:
             break
     if 1 < m < bound * bound:
@@ -297,15 +293,20 @@ class IdealPair:
 
 
 def valuation(n: int, p: int) -> int:
-    """Largest e with p^e | n (n >= 1, p >= 2), in O(log e) big divisions.
-    n is divided by p^(2^k) for k = 0, 1, ... up to the first K where that
-    fails, which takes 2^K - 1 and leaves less than 2^K; the same powers in
-    reverse then take what is left, one binary digit each.  One division by
-    p per unit of e takes time quadratic in the size of a large prime power."""
+    """Largest e with p^e | n (n >= 1, p >= 2), in O(log e) big divisions."""
     if n < 1:
         raise ValueError("valuation requires n >= 1")
     if p < 2:
         raise ValueError("valuation requires p >= 2")
+    return _strip(n, p)[0]
+
+
+def _strip(n: int, p: int) -> tuple[int, int]:
+    """(e, n / p^e) for the largest e with p^e | n (n >= 1, p >= 2).
+    n is divided by p^(2^k) for k = 0, 1, ... up to the first K where that
+    fails, which takes 2^K - 1 and leaves less than 2^K; the same powers in
+    reverse then take what is left, one binary digit each.  One division by
+    p per unit of e takes time quadratic in the size of a large prime power."""
     powers = []  # p^(2^k) for k = 0, 1, ...
     while True:
         q, r = divmod(n, p)
@@ -320,7 +321,7 @@ def valuation(n: int, p: int) -> int:
         if not r:
             n = q
             e += 1 << k
-    return e
+    return e, n
 
 
 def prime_to_s_norm(A: int, S: "PlaceSet") -> int:
@@ -328,8 +329,7 @@ def prime_to_s_norm(A: int, S: "PlaceSet") -> int:
     if A < 1:
         raise ValueError("prime_to_s_norm requires A >= 1")
     for p in S.finite_primes:
-        while A % p == 0:
-            A //= p
+        A = _strip(A, p)[1]
     return A
 
 

@@ -584,19 +584,20 @@ class GrowthReport:
         return self.passed
 
 
-def growth_check(spec: FamilySpec, N: int, digit_budget: int = 100_000) -> GrowthReport:
+def growth_check(spec: FamilySpec, orbit: list[int]) -> GrowthReport:
     """Verify |phi^n(0)| > |phi^(n-1)(0)|^2 for 2 <= n <= N with
     |phi(0)|^2 >= 4, and the exponent floor |phi^n(0)| >= max|a_j|^alpha_n
     with alpha_n = (2^n (m-1) m^(n-1) + 2m) / (2m - 1), all in exact integers.
+
+    orbit holds phi^n(0) for n = 1..N, phi = family_build(spec): the
+    numerators of the engine's pairs, as the map has integer coefficients.
+    phi(0) is the product of the offsets' powers, so it is 0 iff 0 is fixed.
     """
+    N = len(orbit)
     if N < 1:
         raise ValueError("growth_check requires N >= 1")
-    if fixed_or_wandering(spec) != "wandering":
+    if orbit[0] == 0:
         raise HypothesisViolated("0 is fixed", "growth requires 0 to wander")
-    phi = family_build(spec)
-    orbit: list[int] = []  # the map has integer coefficients, so every b is 1
-    for a, _ in IntegerModel(phi).orbit(0, N, digit_budget, partial=orbit):
-        orbit.append(a)
     m = spec.m
     biggest_offset = max(abs(a) for a in spec.offsets())
 
@@ -659,9 +660,8 @@ class ValuationStabilityReport:
 def valuation_stability_check(
     phi: Polynomial,
     S: PlaceSet,
-    N: int,
+    values: list[tuple[int, int]],
     budget: FactorBudget = DEFAULT_BUDGET,
-    digit_budget: int = 100_000,
     cache: Optional["FactorCache"] = None,
 ) -> ValuationStabilityReport:
     """For every prime p outside S exposed by budget-limited factorization of
@@ -670,19 +670,16 @@ def valuation_stability_check(
     E-th power of the derivative at the previous orbit value (E = the largest
     multiplicity in the squarefree decomposition).
 
+    values holds phi^n(0) for n = 1..N as coprime pairs (a, b), b > 0, as
+    IntegerModel(phi).orbit(0, N, track=True) yields them.
+
     Failures are listed, never raised; primes hidden in unfactored cofactors
     are reported as untested.
     """
     if phi.is_zero or not is_powerful(decomposition := squarefree_decomposition(phi)):
         raise HypothesisViolated("map is not powerful")
     E = max(mult for _, mult in decomposition)
-
-    values: list[tuple[int, int]] = []  # the orbit as coprime pairs (a, b)
-    try:
-        for pair in IntegerModel(phi).orbit(0, N, digit_budget, track=True, partial=values):
-            values.append(pair)
-    except PreperiodicPoint:
-        raise HypothesisViolated("0 is preperiodic") from None
+    N = len(values)
 
     failures: list[StabilityFailure] = []
     for n, (_, b) in enumerate(values, 1):

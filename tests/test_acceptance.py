@@ -28,7 +28,7 @@ from dynzsig.heights import (
     valuation,
     weil_height,
 )
-from dynzsig.ratfield import Polynomial, conjugate
+from dynzsig.ratfield import IntegerModel, Polynomial, conjugate
 from dynzsig.zsigmondy import (
     DigitBudgetExceeded,
     FamilyFactor,
@@ -59,6 +59,15 @@ CUBIC_FAMILY = FamilySpec(
     (FamilyFactor(Polynomial([2, 0, 1]), 3, 2), FamilyFactor(Polynomial.one(), 5, 3))
 )
 RAISED_BUDGET = 250_000  # the cubic family reaches ~1.8e5 digits at n = 6
+
+
+def family_orbit(phi, N, digit_budget=100_000):
+    """phi^n(0) for n = 1..N as coprime pairs, the one orbit a family check iterates."""
+    return list(IntegerModel(phi).orbit(0, N, digit_budget, track=True))
+
+
+def family_numerators(spec, N, digit_budget=100_000):
+    return [a for a, _ in family_orbit(family_build(spec), N, digit_budget)]
 
 
 def naive_factor(n):
@@ -118,8 +127,8 @@ def test_criterion_2_family_emptiness(family_sequences):
         terms = seq.terms()
         for n in range(1, len(terms)):
             assert terms[n].bit_length() > 2 * terms[n - 1].bit_length() - 2
-    assert growth_check(PAIR_FAMILY, 6).passed
-    assert growth_check(CUBIC_FAMILY, 6, digit_budget=RAISED_BUDGET).passed
+    assert growth_check(PAIR_FAMILY, family_numerators(PAIR_FAMILY, 6)).passed
+    assert growth_check(CUBIC_FAMILY, family_numerators(CUBIC_FAMILY, 6, RAISED_BUDGET)).passed
     # at the stated 1e5-digit budget the cubic instance stops honestly at n=5
     with pytest.raises(DigitBudgetExceeded) as err:
         build_sequence(family_build(CUBIC_FAMILY), 0, 6, digit_budget=100_000)
@@ -263,12 +272,12 @@ def test_criterion_8_bound_value_and_enumerations():
 
 def test_criterion_9_valuation_stability(family_sequences):
     pair_phi = family_build(PAIR_FAMILY)
-    report = valuation_stability_check(pair_phi, S_INF, 6)
+    report = valuation_stability_check(pair_phi, S_INF, family_orbit(pair_phi, 6))
     assert report.ok
     assert report.ranks[2] == 1 and report.ranks[13] == 2
 
     cubic_phi = family_build(CUBIC_FAMILY)
-    report2 = valuation_stability_check(cubic_phi, S_INF, 6, digit_budget=RAISED_BUDGET)
+    report2 = valuation_stability_check(cubic_phi, S_INF, family_orbit(cubic_phi, 6, RAISED_BUDGET))
     assert report2.ok
     assert report2.ranks[3] == 1 and report2.ranks[5] == 1
     print(

@@ -1,5 +1,6 @@
 import fcntl
 import gc
+import hashlib
 import json
 import random
 import re
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from dynzsig import cli
+from dynzsig import cli, zsigmondy
 from dynzsig.cli import (
     ExponentError,
     FactorCache,
@@ -31,7 +32,7 @@ from dynzsig.divisibility import (
     factor,
 )
 from dynzsig.heights import PlaceSet
-from dynzsig.ratfield import Polynomial
+from dynzsig.ratfield import IntegerModel, Polynomial
 
 Z = Polynomial.identity()
 
@@ -288,6 +289,63 @@ def test_family_check_subcommand():
     assert result["valuation_stability"]["ok"] is True
 
 
+def test_family_check_builds_its_map_and_iterates_its_orbit_once(monkeypatch):
+    calls = {"family_build": 0, "orbit": 0}
+    build, orbit = zsigmondy.family_build, IntegerModel.orbit
+
+    def counting_build(spec):
+        calls["family_build"] += 1
+        return build(spec)
+
+    def counting_orbit(self, *args, **kwargs):
+        calls["orbit"] += 1
+        return orbit(self, *args, **kwargs)
+
+    for owner in (cli, zsigmondy):
+        monkeypatch.setattr(owner, "family_build", counting_build)
+    monkeypatch.setattr(IntegerModel, "orbit", counting_orbit)
+    assert run("family-check", factors="(z+2)^2*(z+3)^2", n=3)[0] == 0
+    assert calls == {"family_build": 1, "orbit": 1}
+
+
+# sha256 of family-check reports as printed while the growth and stability
+# checks each built the map and iterated the orbit of 0: a stop at the digit
+# budget, a full check, and a check whose factorizations a cache answers
+PINNED_FAMILIES = [
+    (dict(factors="(z^3+2*z+3)^2*(z+5)^3", n=6), 3, {
+        "json": "4874178c89231be6b4784d6853878136e74e80c09a17f3594a0d1f3657e8c553",
+        "text": "b5fb371b9c48feb17157d6b690b0e89c2153b1285e132c5e068378d142411c4b",
+    }),
+    (dict(factors="(z+2)^2*(z+3)^2", n=5), 0, {
+        "json": "999e68db5195c1b0e298eea4e7925da4e3229c70bae5ade96cc85860e4e53ca6",
+        "text": "7d72b6186019e596cce87791b9ebb74052fb0e5fd8807c64482b74891d0a5516",
+    }),
+]
+PINNED_CACHED_FAMILY = (dict(factors="(z+2)^2*(z-3)^3", n=3), {
+    "json": "38f37c364d6f9f0abfe724af2acf8618c52059b0f638b68b85cad96b0a6339f1",
+    "text": "4aa12428b775acdb293bcf1118dfe048dbf7e7ef73a0488991dcec27e098d903",
+})
+
+
+@pytest.mark.parametrize(
+    "args, code, fmt, digest", [(a, c, fmt, d) for a, c, digests in PINNED_FAMILIES for fmt, d in digests.items()]
+)
+def test_family_check_reports_are_pinned(args, code, fmt, digest):
+    got, report, _ = run("family-check", RunConfig(fmt=fmt), **args)
+    assert got == code
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+def test_cached_family_check_report_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the report echoes the cache path
+    args, digests = PINNED_CACHED_FAMILY
+    for fmt in ("json", "json", "text"):  # the first request stores, the others look up
+        code, report, _ = run("family-check", RunConfig(fmt=fmt, cache_path="factors.jsonl"), **args)
+        assert code == 0
+        assert hashlib.sha256(report.encode()).hexdigest() == digests[fmt]
+    assert (tmp_path / "factors.jsonl").read_text().count("\n") == 3
+
+
 # --- exit codes ------------------------------------------------------------------
 
 
@@ -443,7 +501,7 @@ def test_each_request_decomposes_at_most_once(command, args, count, decompositio
 
 def test_valuation_stability_check_decomposes_once(decompositions):
     phi = parse_poly("(z+2)^2*(z+3)^2").poly
-    assert cli.valuation_stability_check(phi, PlaceSet(), 2).ok
+    assert cli.valuation_stability_check(phi, PlaceSet(), list(IntegerModel(phi).orbit(0, 2, track=True))).ok
     assert decompositions == [phi]
 
 

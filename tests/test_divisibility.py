@@ -31,7 +31,7 @@ from dynzsig.divisibility import (
     valuation_table,
 )
 from dynzsig.heights import PlaceSet
-from dynzsig.ratfield import _EXACT, Polynomial, _to_decimal
+from dynzsig.ratfield import _EXACT, IntegerModel, Polynomial, _to_decimal
 from dynzsig.zsigmondy import FamilyFactor, FamilySpec, family_build, valuation_stability_check
 from oracles import (
     brent_rho,
@@ -159,6 +159,15 @@ def test_brent_rho_returns_what_the_abs_form_returns():
         n *= rng.randrange(10**4, 10**9) | 1
         rounds, seed = rng.choice((10, 100, 2000)), rng.randint(1, 9)
         assert divisibility._brent_rho(n, rounds, seed) == brent_rho(n, rounds, seed), (n, rounds, seed)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: the product phase runs to the end of its cycle without testing the budget, so "
+    "a campaign that exhausts 200,000 rounds spends 262,142; this one finds 5122233973 at round 229,630",
+)
+def test_brent_rho_stays_within_its_budget():
+    assert divisibility._brent_rho(134393491452741746895089738317, 200_000, 1) == 1
 
 
 def test_factor_rejects_zero():
@@ -333,6 +342,22 @@ def test_valuation_of_a_large_prime_power_takes_few_divisions():
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize(
+    "strip, want",
+    [
+        (factor, Factorization({2: 60000, 3: 1})),
+        (lambda n: prime_to_s_norm(n, PlaceSet.from_primes([2])), 3),
+    ],
+    ids=["factor", "prime_to_s_norm"],
+)
+def test_stripping_a_large_prime_power_takes_few_divisions(strip, want):
+    # one division by 2 per unit of the exponent took about 1 s each here
+    n = 3 * 2**60000
+    start = time.perf_counter()
+    assert strip(n) == want
+    assert time.perf_counter() - start < 0.5
+
+
 if st is not None:
 
     @settings(max_examples=300, deadline=None)
@@ -345,6 +370,15 @@ if st is not None:
         # exponents on both sides of each power of two, and cofactors m that p may divide
         n = m * p**e
         assert valuation(n, p) == valuation_by_division(n, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10**40), st.sampled_from([2, 3, 5, 97, 2**61 - 1]), st.integers(0, 700))
+    def test_stripped_remainders_match_division_one_step_at_a_time(m, p, e):
+        n = m * p**e
+        e = valuation_by_division(n, p)
+        assert prime_to_s_norm(n, PlaceSet.from_primes([p])) == n // p**e
+        if p < 100:  # trial division below 100 strips p completely
+            assert factor(n, FactorBudget(trial_bound=100, rho_rounds=0)).factors.get(p, 0) == e
 
 
 # --- prime_to_s_norm ---------------------------------------------------------
@@ -525,7 +559,8 @@ def test_rigid_check_cofactors_are_unchanged():
 
 def test_valuation_stability_cofactors_are_unchanged():
     pair = FamilySpec((FamilyFactor(Polynomial.one(), 2, 2), FamilyFactor(Polynomial.one(), 3, 2)))
-    report = valuation_stability_check(family_build(pair), S_INF, 4, budget=TIGHT)
+    phi = family_build(pair)
+    report = valuation_stability_check(phi, S_INF, list(IntegerModel(phi).orbit(0, 4, track=True)), budget=TIGHT)
     assert report.untested_cofactors == [
         495630438292081,
         133491624690711879623259393968605850076287909379211915649960252899933445729170712364546610013761,

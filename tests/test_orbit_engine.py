@@ -377,7 +377,11 @@ def test_wandering_verdict_matches_fraction_horner(phi, alpha, probe, tol):
 def test_valuation_stability_matches_fraction_horner(phi, S, N, digit_budget):
     kind, want = oracle_valuation_stability(phi, S, N, TINY_FACTOR_BUDGET, digit_budget)
     try:
-        report = valuation_stability_check(phi, S, N, budget=TINY_FACTOR_BUDGET, digit_budget=digit_budget)
+        try:  # the orbit as a family check iterates it
+            values = list(IntegerModel(phi).orbit(0, N, digit_budget, track=True))
+        except PreperiodicPoint:
+            raise HypothesisViolated("0 is preperiodic") from None
+        report = valuation_stability_check(phi, S, values, budget=TINY_FACTOR_BUDGET)
     except HypothesisViolated as exc:
         assert (kind, want) == ("preperiodic", exc.reason)
         return
@@ -421,12 +425,15 @@ def test_growth_orbit_matches_integer_horner(factors, N, digit_budget):
     except HypothesisViolated:
         return
     orbit, stop = oracle_growth_orbit(phi, N, digit_budget)
+    numerators = []  # the orbit as a family check iterates it
     try:
-        report = growth_check(spec, N, digit_budget=digit_budget)
+        for a, _ in IntegerModel(phi).orbit(0, N, digit_budget, track=True, partial=numerators):
+            numerators.append(a)
     except DigitBudgetExceeded as exc:
         assert (exc.partial, str(exc)) == (orbit, stop)
         return
     assert stop is None
+    report = growth_check(spec, numerators)
     assert report.first_term == orbit[0]
     square_ok = orbit[0] ** 2 >= 4 and all(abs(orbit[n - 1]) > orbit[n - 2] ** 2 for n in range(2, N + 1))
     assert report.square_growth_ok == square_ok

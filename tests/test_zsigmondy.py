@@ -428,8 +428,17 @@ def test_fixed_or_wandering():
 # --- growth check -----------------------------------------------------------------------
 
 
+def family_orbit(phi, N, digit_budget=100_000):
+    """phi^n(0) for n = 1..N as coprime pairs, the one orbit a family check iterates."""
+    return list(IntegerModel(phi).orbit(0, N, digit_budget, track=True))
+
+
+def family_numerators(spec, N, digit_budget=100_000):
+    return [a for a, _ in family_orbit(family_build(spec), N, digit_budget)]
+
+
 def test_growth_check_pair_family():
-    report = growth_check(PAIR_FAMILY, 2)
+    report = growth_check(PAIR_FAMILY, family_numerators(PAIR_FAMILY, 2))
     assert report.passed
     assert report.first_term == 36
     assert report.square_growth_ok and report.exponent_floor_ok
@@ -440,7 +449,7 @@ def test_growth_check_pair_family():
 
 
 def test_growth_exponent_floor_value():
-    report = growth_check(PAIR_FAMILY, 2)
+    report = growth_check(PAIR_FAMILY, family_numerators(PAIR_FAMILY, 2))
     assert report.exponent_floors[0] == 2  # (2*1*1 + 4) / 3
     assert report.exponent_floors[1] == 4
 
@@ -449,13 +458,14 @@ def test_growth_check_requires_wandering():
     fixed = FamilySpec(
         (FamilyFactor(Polynomial.one(), 0, 2), FamilyFactor(Polynomial.one(), 3, 2))
     )
-    with pytest.raises(HypothesisViolated):
-        growth_check(fixed, 3)
+    with pytest.raises(HypothesisViolated):  # 0 is fixed, so the orbit is 0, 0, 0
+        growth_check(fixed, [a for a, _ in IntegerModel(family_build(fixed)).orbit(0, 3)])
 
 
 def test_growth_check_budget():
-    with pytest.raises(DigitBudgetExceeded):
-        growth_check(CUBIC_FAMILY, 6, digit_budget=1000)
+    # the family orbit stops at the first step past the budget, before growth_check
+    with pytest.raises(DigitBudgetExceeded, match="^orbit value at step 4 exceeds 1000 digits$"):
+        family_numerators(CUBIC_FAMILY, 6, digit_budget=1000)
 
 
 @pytest.mark.xfail(
@@ -464,7 +474,7 @@ def test_growth_check_budget():
     "(20024 for the 20023-digit fifth term); the figure is pinned in a benchmark reference report",
 )
 def test_growth_check_digits_are_exact():
-    report = growth_check(CUBIC_FAMILY, 5)
+    report = growth_check(CUBIC_FAMILY, family_numerators(CUBIC_FAMILY, 5))
     orbit = [a for a, _ in IntegerModel(family_build(CUBIC_FAMILY)).orbit(0, 5)]
     assert report.orbit_digits == [decimal_digits(v) for v in orbit]
 
@@ -474,35 +484,36 @@ def test_growth_check_digits_are_exact():
 
 def test_valuation_stability_pair_family():
     phi = family_build(PAIR_FAMILY)
-    report = valuation_stability_check(phi, S_INF, 4)
+    report = valuation_stability_check(phi, S_INF, family_orbit(phi, 4))
     assert report.ok
     assert report.ranks[2] == 1 and report.ranks[3] == 1
     assert report.ranks[13] == 2 and report.ranks[19] == 2
 
 
 def test_valuation_stability_requires_powerful():
-    # constants, the zero map and maps with a simple factor included
+    # constants, the zero map and maps with a simple factor included; the map
+    # is tested before the orbit is read
     for phi in (SQUARE_PLUS_ONE, Polynomial([7]), Polynomial.zero(), Z, Z**2 * (Z + 1)):
         with pytest.raises(HypothesisViolated, match="map is not powerful"):
-            valuation_stability_check(phi, S_INF, 3)
+            valuation_stability_check(phi, S_INF, [])
 
 
 def test_valuation_stability_flags_denominators_outside_s():
     # (z + 1/2)^2 (z + 3)^2 is powerful but its orbit meets the prime 2
     # in denominators, so S = {inf} is too small and must be reported
     phi = (Z + Polynomial([Fraction(1, 2)])) ** 2 * (Z + Polynomial([3])) ** 2
-    report = valuation_stability_check(phi, S_INF, 3)
+    report = valuation_stability_check(phi, S_INF, family_orbit(phi, 3))
     assert not report.ok
     assert any(f.kind == "denominator" for f in report.failures)
     # with 2 inside S the same orbit is fully clean
-    report2 = valuation_stability_check(phi, PlaceSet.from_primes([2]), 3)
+    report2 = valuation_stability_check(phi, PlaceSet.from_primes([2]), family_orbit(phi, 3))
     assert report2.ok
 
 
 def test_valuation_stability_flags_untestable_cofactors():
     phi = family_build(PAIR_FAMILY)
     tight = FactorBudget(trial_bound=100, rho_rounds=10, rho_digit_limit=10)
-    report = valuation_stability_check(phi, S_INF, 4, budget=tight)
+    report = valuation_stability_check(phi, S_INF, family_orbit(phi, 4), budget=tight)
     assert report.untested_cofactors  # budget cannot split everything
     assert report.ok  # exposed primes still behave
 
